@@ -8,7 +8,7 @@
 // advantage is the difference between the algorithm's cost and malloc's.
 // Batch mode (BM_BatchEngine*) measures the same Algorithm 2/3 kernel
 // driven by the parallel BatchRouteEngine: a chunked thread pool over
-// per-worker scratch arenas, with an optional sharded memo cache for
+// per-worker scratch arenas, with an optional per-worker memo for
 // repeated (X, Y) flows. The thread sweep 1/2/4/8 is the CI smoke grid
 // recorded in BENCH_*.json (docs/benchmarking.md).
 // BM_UntracedRoute / BM_TracedRoute measure the observability subsystem:
@@ -226,8 +226,8 @@ BENCHMARK(BM_BatchEngine)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_BatchEngineCached(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  // 64 hot flows repeated across the batch; the sharded memo cache turns
-  // the steady state into hash + lock + copy.
+  // 64 hot flows repeated across the batch; the per-worker memos turn
+  // the steady state into hash + compare + copy, with no lock.
   const std::vector<RouteQuery> queries = smoke_queries(kSmokeBatch, 64);
   BatchRouteEngine engine(
       kSmokeD, kSmokeK,

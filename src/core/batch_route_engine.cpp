@@ -1,13 +1,11 @@
 #include "core/batch_route_engine.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "common/contract.hpp"
 #include "common/thread_pool.hpp"
 #include "core/distance.hpp"
 #include "core/routers.hpp"
-#include "core/routing_table.hpp"
 #include "obs/trace.hpp"
 
 namespace dbn {
@@ -18,10 +16,6 @@ std::string_view batch_backend_name(BatchBackend backend) {
       return "alg1-directed";
     case BatchBackend::BidiEngine:
       return "bidi-engine";
-    case BatchBackend::BidiSuffixTree:
-      return "bidi-suffix-tree";
-    case BatchBackend::CompiledTable:
-      return "compiled-table";
   }
   DBN_ASSERT(false, "unknown batch backend");
   return "";
@@ -33,36 +27,13 @@ BatchRouteEngine::BatchRouteEngine(std::uint32_t d, std::size_t k,
   DBN_REQUIRE(d_ >= 1, "batch engine needs radix >= 1");
   DBN_REQUIRE(k_ >= 1, "batch engine needs k >= 1");
   pool_ = std::make_unique<ThreadPool>(options_.threads);
-  scratch_.reserve(pool_->thread_count());
-  const SideKernelFallback fallback =
-      options_.backend == BatchBackend::BidiSuffixTree
-          ? SideKernelFallback::SuffixTree
-          : SideKernelFallback::MpScan;
-  for (std::size_t i = 0; i < pool_->thread_count(); ++i) {
-    scratch_.push_back(std::make_unique<Scratch>(k_, fallback));
-  }
-  if (options_.backend == BatchBackend::CompiledTable) {
-    // The table answers for the undirected network, matching the other
-    // bi-directional backends (and the RoutingTable's own N cap applies).
-    graph_ = std::make_unique<DeBruijnGraph>(d_, k_, Orientation::Undirected);
-    table_ = std::make_unique<RoutingTable>(*graph_);
-  }
-  if (options_.cache_entries > 0) {
-    const std::size_t shard_count = std::max<std::size_t>(
-        1, std::min(options_.cache_shards, options_.cache_entries));
-    const std::size_t per_shard =
-        (options_.cache_entries + shard_count - 1) / shard_count;
-    shards_.reserve(shard_count);
-    for (std::size_t i = 0; i < shard_count; ++i) {
-      auto shard = std::make_unique<CacheShard>();
-      // Pre-publication, but lock anyway: one uncontended acquisition per
-      // shard keeps the sizing write inside the checked discipline.
-      {
-        const MutexLock lock(shard->mutex);
-        shard->entries.resize(per_shard);
-      }
-      shards_.push_back(std::move(shard));
-    }
+  const std::size_t workers = pool_->thread_count();
+  // ⌈cache_entries / workers⌉, without overflow near SIZE_MAX.
+  const std::size_t memo_slots = options_.cache_entries / workers +
+                                 (options_.cache_entries % workers != 0);
+  scratch_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    scratch_.push_back(std::make_unique<Scratch>(k_, memo_slots));
   }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   metrics_queries_ = registry.counter("batch.queries");
@@ -95,40 +66,6 @@ std::uint64_t BatchRouteEngine::pair_hash(const Word& x, const Word& y) {
   return h;
 }
 
-bool BatchRouteEngine::cache_lookup(std::uint64_t hash, const Word& x,
-                                    const Word& y, RoutingPath& out) {
-  // memory_order_relaxed: pure statistics counters, read only after
-  // parallel_for's join (which is the synchronization point).
-  cache_lookups_.fetch_add(1, std::memory_order_relaxed);
-  CacheShard& shard = *shards_[hash % shards_.size()];
-  const MutexLock lock(shard.mutex);
-  const std::size_t slot = (hash / shards_.size()) % shard.entries.size();
-  const CacheEntry& entry = shard.entries[slot];
-  if (entry.filled && entry.hash == hash && entry.x == x && entry.y == y) {
-    out = entry.path;
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-void BatchRouteEngine::cache_store(std::uint64_t hash, const Word& x,
-                                   const Word& y, const RoutingPath& path) {
-  CacheShard& shard = *shards_[hash % shards_.size()];
-  const MutexLock lock(shard.mutex);
-  const std::size_t slot = (hash / shards_.size()) % shard.entries.size();
-  CacheEntry& entry = shard.entries[slot];
-  if (entry.filled &&
-      !(entry.hash == hash && entry.x == x && entry.y == y)) {
-    cache_evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  entry.filled = true;
-  entry.hash = hash;
-  entry.x = x;
-  entry.y = y;
-  entry.path = path;
-}
-
 void BatchRouteEngine::compute_route(const RouteQuery& query, Scratch& scratch,
                                      RoutingPath& out) const {
   switch (options_.backend) {
@@ -136,30 +73,33 @@ void BatchRouteEngine::compute_route(const RouteQuery& query, Scratch& scratch,
       out = route_unidirectional(query.x, query.y);
       return;
     case BatchBackend::BidiEngine:
-    case BatchBackend::BidiSuffixTree:
-      // Both bi-directional backends run in the per-worker engine arena;
-      // the suffix-tree variant only differs in the engine's scalar
-      // fallback kernel (and allocates nothing per query when (d, k)
-      // packs into a lane).
       scratch.engine.route_into(query.x, query.y, options_.wildcard_mode, out);
       return;
-    case BatchBackend::CompiledTable: {
-      out = RoutingPath{};
-      std::uint64_t at = query.x.rank();
-      const std::uint64_t dst = query.y.rank();
-      const std::size_t bound = 2 * k_ + 2;  // > diameter: loop guard
-      while (at != dst) {
-        DBN_ASSERT(out.length() <= bound, "table walk failed to converge");
-        const Hop hop = table_->next_hop(at, dst);
-        out.push(hop);
-        at = hop.type == ShiftType::Left
-                 ? graph_->left_shift_rank(at, hop.digit)
-                 : graph_->right_shift_rank(at, hop.digit);
-      }
-      return;
-    }
   }
   DBN_ASSERT(false, "unknown batch backend");
+}
+
+void BatchRouteEngine::memo_route(const RouteQuery& query, Scratch& scratch,
+                                  RoutingPath& out) const {
+  ++scratch.lookups;
+  const std::uint64_t hash = pair_hash(query.x, query.y);
+  MemoEntry& entry = scratch.memo[hash % scratch.memo.size()];
+  if (entry.filled && entry.hash == hash && entry.x == query.x &&
+      entry.y == query.y) {
+    ++scratch.hits;
+    out = entry.path;
+    return;
+  }
+  compute_route(query, scratch, out);
+  // A miss on a filled slot means it held a different pair.
+  if (entry.filled) {
+    ++scratch.evictions;
+  }
+  entry.filled = true;
+  entry.hash = hash;
+  entry.x = query.x;
+  entry.y = query.y;
+  entry.path = out;
 }
 
 int BatchRouteEngine::compute_distance(const RouteQuery& query,
@@ -168,10 +108,7 @@ int BatchRouteEngine::compute_distance(const RouteQuery& query,
     case BatchBackend::Alg1Directed:
       return directed_distance(query.x, query.y);
     case BatchBackend::BidiEngine:
-    case BatchBackend::BidiSuffixTree:
       return scratch.engine.distance(query.x, query.y);
-    case BatchBackend::CompiledTable:
-      return table_->walk_length(query.x.rank(), query.y.rank());
   }
   DBN_ASSERT(false, "unknown batch backend");
   return -1;
@@ -180,9 +117,11 @@ int BatchRouteEngine::compute_distance(const RouteQuery& query,
 void BatchRouteEngine::route_batch_into(const std::vector<RouteQuery>& queries,
                                         std::vector<RoutingPath>& out) {
   out.resize(queries.size());
-  cache_lookups_.store(0, std::memory_order_relaxed);
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_evictions_.store(0, std::memory_order_relaxed);
+  for (const std::unique_ptr<Scratch>& scratch : scratch_) {
+    scratch->lookups = 0;
+    scratch->hits = 0;
+    scratch->evictions = 0;
+  }
   // When a sink is registered each chunk runs on its worker's lane and is
   // bracketed by a wall-clock span, making the pool's parallelism visible
   // as per-worker tracks in the Chrome export. When off: one branch.
@@ -216,17 +155,11 @@ void BatchRouteEngine::route_batch_into(const std::vector<RouteQuery>& queries,
           suppress.emplace();  // on this worker, for this chunk only
         }
         for (std::size_t i = begin; i < end; ++i) {
-          const RouteQuery& query = queries[i];
-          validate(query);
-          if (!shards_.empty()) {
-            const std::uint64_t hash = pair_hash(query.x, query.y);
-            if (cache_lookup(hash, query.x, query.y, out[i])) {
-              continue;
-            }
-            compute_route(query, scratch, out[i]);
-            cache_store(hash, query.x, query.y, out[i]);
+          validate(queries[i]);
+          if (scratch.memo.empty()) {
+            compute_route(queries[i], scratch, out[i]);
           } else {
-            compute_route(query, scratch, out[i]);
+            memo_route(queries[i], scratch, out[i]);
           }
         }
         if (chunk_span) {
@@ -236,11 +169,13 @@ void BatchRouteEngine::route_batch_into(const std::vector<RouteQuery>& queries,
   if (batch_span) {
     batch_span.end(obs::wall_ts_micros());
   }
-  stats_ = BatchStats{queries.size(),
-                      cache_lookups_.load(std::memory_order_relaxed),
-                      cache_hits_.load(std::memory_order_relaxed),
-                      cache_evictions_.load(std::memory_order_relaxed),
-                      pool_->thread_count()};
+  // parallel_for has joined: every worker's counters are final.
+  stats_ = BatchStats{queries.size(), 0, 0, 0, pool_->thread_count()};
+  for (const std::unique_ptr<Scratch>& scratch : scratch_) {
+    stats_.cache_lookups += scratch->lookups;
+    stats_.cache_hits += scratch->hits;
+    stats_.cache_evictions += scratch->evictions;
+  }
   metrics_batches_.inc();
   metrics_queries_.inc(stats_.queries);
   metrics_cache_lookups_.inc(stats_.cache_lookups);
@@ -275,24 +210,6 @@ std::vector<int> BatchRouteEngine::distance_batch(
   stats_ = BatchStats{queries.size(), 0, 0, 0, pool_->thread_count()};
   metrics_batches_.inc();
   metrics_queries_.inc(stats_.queries);
-  return out;
-}
-
-RoutingPath BatchRouteEngine::route_one(const Word& x, const Word& y) {
-  const RouteQuery query{x, y};
-  validate(query);
-  RoutingPath out;
-  Scratch& scratch = *scratch_[0];
-  if (!shards_.empty()) {
-    const std::uint64_t hash = pair_hash(x, y);
-    if (cache_lookup(hash, x, y, out)) {
-      return out;
-    }
-    compute_route(query, scratch, out);
-    cache_store(hash, x, y, out);
-    return out;
-  }
-  compute_route(query, scratch, out);
   return out;
 }
 

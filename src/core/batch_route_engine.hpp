@@ -10,51 +10,42 @@
 //   - a chunked thread pool (common/thread_pool.hpp) — queries are
 //     independent, so the batch splits into dynamically scheduled chunks;
 //   - per-worker scratch arenas — each worker owns a
-//     BidirectionalRouteEngine (reused Morris–Pratt failure rows and
-//     Algorithm 2/3 matching buffers) and writes paths in place, so the
-//     hot path performs no per-query allocation beyond growing the
+//     BidirectionalRouteEngine (packed lanes, or the in-place Algorithm 3
+//     scan with reused Morris–Pratt rows) and writes paths in place, so
+//     the hot path performs no per-query allocation beyond growing the
 //     caller-visible output paths;
-//   - pluggable backends — Algorithm 1 (directed), Algorithm 2/3 via the
-//     allocation-free engine, Algorithm 4 (suffix tree), or a compiled
-//     next-hop table walk (the O(N^2)-state alternative the paper
-//     obviates, kept for measurement);
-//   - an optional sharded memo cache keyed on (X, Y) for workloads with
-//     repeated pairs (hot flows), direct-mapped within each shard so a
-//     lookup is one hash, one lock, one compare.
+//   - two backends — Algorithm 1 (directed) and Theorem 2 through the
+//     allocation-free engine (undirected);
+//   - an optional memo keyed on (X, Y) for workloads with repeated pairs
+//     (hot flows): a direct-mapped table in each worker's arena, so a
+//     lookup is one hash and one compare and takes no lock. The
+//     cache_entries budget is split evenly across the workers.
 //
 // Results are bit-for-bit deterministic in the batch: out[i] depends only
 // on queries[i] and the backend, never on the thread count, chunk size or
-// cache state (every backend is a deterministic function, and the cache
-// only ever returns what that function produced earlier).
+// memo state (every backend is a deterministic function, and a memo only
+// ever returns what that function produced earlier).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
 
-#include "common/mutex.hpp"
 #include "core/path.hpp"
 #include "core/path_builder.hpp"
 #include "core/route_engine.hpp"
-#include "debruijn/graph.hpp"
 #include "debruijn/word.hpp"
 #include "obs/metrics.hpp"
 
 namespace dbn {
 
 class ThreadPool;
-class RoutingTable;
 
 /// Which routing computation answers each query of the batch.
 enum class BatchBackend {
-  Alg1Directed,     // Algorithm 1: directed DG(d,k), left shifts only
-  BidiEngine,       // Algorithms 2/3 via the allocation-free route engine
-  BidiSuffixTree,   // Algorithm 4: the same engine arena with the
-                    // suffix-tree scalar fallback (packed lanes whenever
-                    // (d,k) fits — no per-query tree construction there)
-  CompiledTable,    // next-hop table walk (requires materializable d^k)
+  Alg1Directed,  // Algorithm 1: directed DG(d,k), left shifts only
+  BidiEngine,    // Theorem 2 via the allocation-free route engine
 };
 
 std::string_view batch_backend_name(BatchBackend backend);
@@ -65,12 +56,10 @@ struct BatchRouteOptions {
   std::size_t threads = 0;
   /// Queries per scheduling quantum of the pool.
   std::size_t chunk = 256;
-  /// Total memo-cache entries across all shards; 0 disables the cache.
+  /// Total memo entries across all workers, ⌈cache_entries / threads⌉ per
+  /// worker; 0 disables the memo.
   std::size_t cache_entries = 0;
-  /// Shard count for the memo cache (rounded up to at least 1). More
-  /// shards = less lock contention; entries are split evenly.
-  std::size_t cache_shards = 16;
-  /// How the bi-directional backends emit the arbitrary digits.
+  /// How the bi-directional backend emits the arbitrary digits.
   WildcardMode wildcard_mode = WildcardMode::Concrete;
   /// When false, per-query route/hop spans are suppressed inside the batch
   /// loops (the engine's own batch/chunk spans still fire). The serving
@@ -99,8 +88,7 @@ struct BatchStats {
 
 class BatchRouteEngine {
  public:
-  /// An engine for DG(d,k). CompiledTable additionally requires d^k small
-  /// enough to materialize (RoutingTable's own guard applies).
+  /// An engine for DG(d,k).
   BatchRouteEngine(std::uint32_t d, std::size_t k,
                    const BatchRouteOptions& options = {});
   ~BatchRouteEngine();
@@ -109,76 +97,63 @@ class BatchRouteEngine {
   BatchRouteEngine& operator=(const BatchRouteEngine&) = delete;
 
   /// Routes queries[i] into out[i] (resized to match). Deterministic:
-  /// independent of thread count and cache state.
+  /// independent of thread count and memo state.
   void route_batch_into(const std::vector<RouteQuery>& queries,
                         std::vector<RoutingPath>& out);
 
   /// Convenience wrapper over route_batch_into.
   std::vector<RoutingPath> route_batch(const std::vector<RouteQuery>& queries);
 
-  /// Distances only (no path construction, no cache).
+  /// Distances only (no path construction, no memo).
   std::vector<int> distance_batch(const std::vector<RouteQuery>& queries);
-
-  /// Routes one query through the batch machinery (worker 0's scratch and
-  /// the cache) — the single-message view of the same engine.
-  RoutingPath route_one(const Word& x, const Word& y);
 
   std::uint32_t radix() const { return d_; }
   std::size_t k() const { return k_; }
   BatchBackend backend() const { return options_.backend; }
   std::size_t thread_count() const;
-  bool cache_enabled() const { return !shards_.empty(); }
+  bool cache_enabled() const { return options_.cache_entries > 0; }
 
   const BatchStats& last_stats() const { return stats_; }
 
  private:
-  // One worker's reusable state: the allocation-free bidirectional engine
-  // (packed lanes, Morris–Pratt failure rows + matching buffers). Both
-  // bi-directional backends route through it; they differ only in the
-  // engine's scalar fallback kernel for unpackable (d, k).
-  struct Scratch {
-    Scratch(std::size_t max_k, SideKernelFallback fallback)
-        : engine(max_k, fallback) {}
-    BidirectionalRouteEngine engine;
-  };
-
-  // Direct-mapped cache entry; `filled` distinguishes the empty slot from
+  // Direct-mapped memo entry; `filled` distinguishes the empty slot from
   // a real (X, Y) -> path mapping.
-  struct CacheEntry {
+  struct MemoEntry {
     bool filled = false;
     std::uint64_t hash = 0;
     Word x{1, {0}};
     Word y{1, {0}};
     RoutingPath path;
   };
-  struct CacheShard {
-    Mutex mutex;
-    // Sized once at construction (never resized), so entries.size() is
-    // immutable; the lock guards the slots' contents.
-    std::vector<CacheEntry> entries DBN_GUARDED_BY(mutex);
+
+  // One worker's reusable state: the allocation-free route engine and its
+  // own memo. Inside parallel_for only that worker touches it, so the memo
+  // takes no lock and the counters are plain; route_batch_into sums them
+  // after the join. Cache-line aligned so one worker's counter writes do
+  // not invalidate a neighbour's arena.
+  struct alignas(64) Scratch {
+    Scratch(std::size_t max_k, std::size_t memo_slots)
+        : engine(max_k), memo(memo_slots) {}
+    BidirectionalRouteEngine engine;
+    std::vector<MemoEntry> memo;
+    std::size_t lookups = 0;
+    std::size_t hits = 0;
+    std::size_t evictions = 0;
   };
 
   void validate(const RouteQuery& query) const;
   void compute_route(const RouteQuery& query, Scratch& scratch,
                      RoutingPath& out) const;
+  void memo_route(const RouteQuery& query, Scratch& scratch,
+                  RoutingPath& out) const;
   int compute_distance(const RouteQuery& query, Scratch& scratch) const;
   static std::uint64_t pair_hash(const Word& x, const Word& y);
-  bool cache_lookup(std::uint64_t hash, const Word& x, const Word& y,
-                    RoutingPath& out);
-  void cache_store(std::uint64_t hash, const Word& x, const Word& y,
-                   const RoutingPath& path);
 
   std::uint32_t d_;
   std::size_t k_;
   BatchRouteOptions options_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Scratch>> scratch_;
-  std::unique_ptr<DeBruijnGraph> graph_;   // CompiledTable backend only
-  std::unique_ptr<RoutingTable> table_;    // CompiledTable backend only
-  std::vector<std::unique_ptr<CacheShard>> shards_;
-  std::atomic<std::size_t> cache_lookups_{0};
-  std::atomic<std::size_t> cache_hits_{0};
-  std::atomic<std::size_t> cache_evictions_{0};
   BatchStats stats_;
   // Mirrors of the batch counters in the global registry (folded in once
   // per batch, not per query, to keep the hot loop untouched).

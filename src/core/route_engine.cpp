@@ -3,16 +3,14 @@
 #include <algorithm>
 
 #include "common/contract.hpp"
-#include "core/common_substring.hpp"
 #include "core/route_trace.hpp"
 #include "obs/trace.hpp"
 #include "strings/packed.hpp"
 
 namespace dbn {
 
-BidirectionalRouteEngine::BidirectionalRouteEngine(std::size_t max_k,
-                                                   SideKernelFallback fallback)
-    : max_k_(max_k), fallback_(fallback) {
+BidirectionalRouteEngine::BidirectionalRouteEngine(std::size_t max_k)
+    : max_k_(max_k) {
   DBN_REQUIRE(max_k_ >= 1, "engine needs max_k >= 1");
   x_.reserve(max_k_);
   y_.reserve(max_k_);
@@ -21,43 +19,35 @@ BidirectionalRouteEngine::BidirectionalRouteEngine(std::size_t max_k,
   border_.reserve(max_k_);
 }
 
-std::string_view BidirectionalRouteEngine::trace_algo() const {
-  return fallback_ == SideKernelFallback::MpScan ? "bidi-engine"
-                                                 : "bidi-suffix-tree";
-}
-
-bool BidirectionalRouteEngine::packed_minima(const Word& x, const Word& y,
-                                             strings::OverlapMin& l_side,
-                                             strings::OverlapMin& r_side) {
+void BidirectionalRouteEngine::side_minima(const Word& x, const Word& y,
+                                           strings::OverlapMin& l_side,
+                                           strings::OverlapMin& r_side) {
   const std::uint32_t d = x.radix();
   const std::size_t k = x.length();
-  if (!strings::packable(d, k)) {
-    return false;
+  if (strings::packable(d, k)) {
+    // Two packs (the reversed lanes are O(log) cell reversals of the
+    // forward ones) plus two pruned offset sweeps replace the two O(k^2)
+    // Algorithm 3 scans. The r-side runs on the reversed words and maps
+    // back through the same reduction the scalar path uses; it sweeps
+    // against the l-side incumbent, which is sound because the route only
+    // needs the winning side's witness (see min_l_cost_packed_bounded).
+    const strings::PackedBuf px = strings::pack_word(x.symbols(), d);
+    const strings::PackedBuf py = strings::pack_word(y.symbols(), d);
+    l_side = strings::min_l_cost_packed(px, py);
+    r_side = r_side_from_reversed(
+        static_cast<int>(k),
+        strings::min_l_cost_packed_bounded(strings::reverse_cells(px),
+                                           strings::reverse_cells(py),
+                                           l_side.cost));
+    return;
   }
-  // Two packs (the reversed lanes are O(log) cell reversals of the
-  // forward ones) plus two pruned offset sweeps replace the two O(k^2)
-  // Algorithm 3 scans. The r-side runs on the reversed words and maps
-  // back through the same reduction the scalar path uses; it sweeps
-  // against the l-side incumbent, which is sound because the route only
-  // needs the winning side's witness (see min_l_cost_packed_bounded).
-  const strings::PackedBuf px = strings::pack_word(x.symbols(), d);
-  const strings::PackedBuf py = strings::pack_word(y.symbols(), d);
-  l_side = strings::min_l_cost_packed(px, py);
-  r_side = r_side_from_reversed(
-      static_cast<int>(k),
-      strings::min_l_cost_packed_bounded(strings::reverse_cells(px),
-                                         strings::reverse_cells(py),
-                                         l_side.cost));
-  return true;
-}
-
-strings::OverlapMin BidirectionalRouteEngine::side_min_scalar(
-    const std::vector<strings::Symbol>& x,
-    const std::vector<strings::Symbol>& y, std::size_t k) {
-  if (fallback_ == SideKernelFallback::SuffixTree) {
-    return min_l_cost_suffix_tree(x, y);
-  }
-  return min_l_cost_inplace(x, y, k);
+  x_.assign(x.symbols().begin(), x.symbols().end());
+  y_.assign(y.symbols().begin(), y.symbols().end());
+  xr_.assign(x.symbols().rbegin(), x.symbols().rend());
+  yr_.assign(y.symbols().rbegin(), y.symbols().rend());
+  l_side = min_l_cost_inplace(x_, y_, k);
+  r_side = r_side_from_reversed(static_cast<int>(k),
+                                min_l_cost_inplace(xr_, yr_, k));
 }
 
 strings::OverlapMin BidirectionalRouteEngine::min_l_cost_inplace(
@@ -136,15 +126,7 @@ int BidirectionalRouteEngine::distance(const Word& x, const Word& y) {
   DBN_REQUIRE(k <= max_k_, "word longer than the engine's max_k");
   strings::OverlapMin l_side;
   strings::OverlapMin r_side;
-  if (!packed_minima(x, y, l_side, r_side)) {
-    x_.assign(x.symbols().begin(), x.symbols().end());
-    y_.assign(y.symbols().begin(), y.symbols().end());
-    xr_.assign(x.symbols().rbegin(), x.symbols().rend());
-    yr_.assign(y.symbols().rbegin(), y.symbols().rend());
-    l_side = side_min_scalar(x_, y_, k);
-    r_side = r_side_from_reversed(static_cast<int>(k),
-                                  side_min_scalar(xr_, yr_, k));
-  }
+  side_minima(x, y, l_side, r_side);
   const int d = std::min(l_side.cost, r_side.cost);
   DBN_ENSURE(d >= 0 && d <= static_cast<int>(k),
              "undirected distance must lie in [0, k]");
@@ -160,19 +142,11 @@ void BidirectionalRouteEngine::route_into(const Word& x, const Word& y,
   DBN_REQUIRE(k <= max_k_, "word longer than the engine's max_k");
   strings::OverlapMin l_side;
   strings::OverlapMin r_side;
-  if (!packed_minima(x, y, l_side, r_side)) {
-    x_.assign(x.symbols().begin(), x.symbols().end());
-    y_.assign(y.symbols().begin(), y.symbols().end());
-    xr_.assign(x.symbols().rbegin(), x.symbols().rend());
-    yr_.assign(y.symbols().rbegin(), y.symbols().rend());
-    l_side = side_min_scalar(x_, y_, k);
-    r_side = r_side_from_reversed(static_cast<int>(k),
-                                  side_min_scalar(xr_, yr_, k));
-  }
+  side_minima(x, y, l_side, r_side);
   const BidiPlan plan = make_bidi_plan(static_cast<int>(k), l_side, r_side);
   build_bidi_path_into(x, y, plan, mode, out);
   if (obs::tracing_enabled()) {
-    trace_bidi_route(trace_algo(), x, y, plan, out);
+    trace_bidi_route("bidi-engine", x, y, plan, out);
   }
 }
 

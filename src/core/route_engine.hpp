@@ -10,14 +10,13 @@
 // whenever the endpoints fit a 128-bit packed lane (strings/packed.hpp:
 // d <= 4 up to k = 64, d <= 16 up to k = 32 — every network the paper's
 // figures discuss), the Theorem 2 side minima are computed by the
-// word-parallel offset sweep instead of the per-symbol Algorithm 3 scan;
-// the scalar kernels remain as the fallback for larger alphabets and
-// diameters. One engine per thread. The ablation benchmark
-// (bench_route_engine) measures the gain; the packed-vs-scalar
-// differential battery pins the equivalence.
+// word-parallel offset sweep instead of the per-symbol Algorithm 3 scan.
+// Larger alphabets and diameters run that scan in place over the reused
+// buffers, so neither kernel allocates once warmed. One engine per
+// thread. The ablation benchmark (bench_route_engine) measures the gain;
+// the packed-vs-scalar differential battery pins the equivalence.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "core/path.hpp"
@@ -27,22 +26,12 @@
 
 namespace dbn {
 
-/// Which scalar kernel computes the side minima when the endpoints do not
-/// pack: the Algorithm 2/3 Morris–Pratt scan (O(k^2), allocation-free
-/// once warmed) or the Algorithm 4 generalized suffix tree (O(k), but it
-/// allocates per query). Both feed the identical plan/emission machinery,
-/// so the choice only shows in the unpackable regime.
-enum class SideKernelFallback { MpScan, SuffixTree };
-
 class BidirectionalRouteEngine {
  public:
   /// Buffers are sized for diameters up to max_k.
-  explicit BidirectionalRouteEngine(
-      std::size_t max_k,
-      SideKernelFallback fallback = SideKernelFallback::MpScan);
+  explicit BidirectionalRouteEngine(std::size_t max_k);
 
-  /// Exact undirected distance (Theorem 2); no allocation when the words
-  /// pack or the MpScan fallback runs.
+  /// Exact undirected distance (Theorem 2); no allocation once warmed.
   int distance(const Word& x, const Word& y);
 
   /// A shortest path of the same length as route_bidirectional_mp's,
@@ -54,30 +43,19 @@ class BidirectionalRouteEngine {
                   RoutingPath& out);
 
   std::size_t max_k() const { return max_k_; }
-  SideKernelFallback fallback() const { return fallback_; }
 
  private:
-  /// Packed side minima for both orientations; false when (d, k) does not
-  /// fit the lane and the caller must take the scalar path.
-  bool packed_minima(const Word& x, const Word& y,
-                     strings::OverlapMin& l_side, strings::OverlapMin& r_side);
-
-  /// The l-side minimum over raw digit buffers via the configured scalar
-  /// fallback kernel.
-  strings::OverlapMin side_min_scalar(const std::vector<strings::Symbol>& x,
-                                      const std::vector<strings::Symbol>& y,
-                                      std::size_t k);
+  /// Side minima for both orientations: the packed sweep when (d, k) fits
+  /// the lane, the in-place Algorithm 3 scan otherwise.
+  void side_minima(const Word& x, const Word& y, strings::OverlapMin& l_side,
+                   strings::OverlapMin& r_side);
 
   /// The l-side minimum via the reusable Morris–Pratt row buffers.
   strings::OverlapMin min_l_cost_inplace(const std::vector<strings::Symbol>& x,
                                          const std::vector<strings::Symbol>& y,
                                          std::size_t k);
 
-  /// The algo label this engine traces route spans under.
-  std::string_view trace_algo() const;
-
   std::size_t max_k_;
-  SideKernelFallback fallback_;
   std::vector<strings::Symbol> x_, y_, xr_, yr_;
   std::vector<int> border_;
 };

@@ -1,8 +1,8 @@
 // RouteServer — the long-running serving core behind `dbn serve`.
 //
-// The server owns one BatchRouteEngine (the PR-2 machinery: chunked
-// ThreadPool, per-worker BidirectionalRouteEngine arenas, sharded memo
-// cache) and turns it from a batch API into a daemon:
+// The server owns one BatchRouteEngine (chunked ThreadPool, per-worker
+// BidirectionalRouteEngine arenas and memos) and turns it from a batch
+// API into a daemon:
 //
 //   reader threads ──feed()──> bounded request queue ──> dispatcher thread
 //                                                           │ micro-batches
@@ -51,6 +51,7 @@ namespace dbn::serve {
 struct ServeConfig {
   std::uint32_t d = 2;
   std::size_t k = 10;
+  /// Alg1Directed (`--backend=uni`) or BidiEngine (`--backend=bidi`).
   BatchBackend backend = BatchBackend::BidiEngine;
   /// Worker threads of the routing engine (0 = hardware concurrency).
   std::size_t threads = 1;
@@ -58,7 +59,8 @@ struct ServeConfig {
   std::size_t queue_capacity = 1024;
   /// Largest micro-batch the dispatcher hands the engine at once.
   std::size_t max_batch = 256;
-  /// Hot-route cache entries (the engine's sharded memo cache; 0 = off).
+  /// Hot-route memo entries in total, split evenly across the engine's
+  /// workers (0 = off).
   std::size_t cache_entries = 0;
   WildcardMode wildcard_mode = WildcardMode::Concrete;
   /// Trace 1-in-N requests end to end (admit->dispatch->route->respond

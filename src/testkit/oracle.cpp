@@ -80,16 +80,13 @@ class Alg4SuffixAutomatonOracle final : public RouteOracle {
 };
 
 // The allocation-free engine: packed offset-sweep kernels whenever (d, k)
-// fits a lane, the configured scalar kernel otherwise — so registering
-// both fallbacks makes the conformance driver and dbn_fuzz cross-check
-// the packed path against every other implementation in the set.
+// fits a lane, the in-place Algorithm 3 scan otherwise — so the
+// conformance driver and dbn_fuzz cross-check the packed path against
+// every other implementation in the set.
 class RouteEngineOracle final : public RouteOracle {
  public:
-  RouteEngineOracle(std::size_t k, SideKernelFallback fallback)
-      : name_(fallback == SideKernelFallback::MpScan ? "route-engine"
-                                                     : "route-engine-st"),
-        engine_(k, fallback) {}
-  std::string_view name() const override { return name_; }
+  explicit RouteEngineOracle(std::size_t k) : engine_(k) {}
+  std::string_view name() const override { return "route-engine"; }
   int distance(const Word& x, const Word& y) override {
     return engine_.distance(x, y);
   }
@@ -101,40 +98,36 @@ class RouteEngineOracle final : public RouteOracle {
   bool emits_three_block() const override { return true; }
 
  private:
-  std::string_view name_;
   BidirectionalRouteEngine engine_;
 };
 
 // The parallel batch engine fed one-query batches: every conformance pair
 // also crosses the thread pool, the per-worker scratch arenas and the
-// sharded memo cache (deliberately tiny so slots are recycled).
+// per-worker memo (deliberately tiny so slots are recycled).
 class BatchEngineOracle final : public RouteOracle {
  public:
   BatchEngineOracle(std::uint32_t d, std::size_t k, BatchBackend backend,
                     std::size_t threads)
-      : name_(backend == BatchBackend::Alg1Directed     ? "batch-alg1"
-              : backend == BatchBackend::BidiSuffixTree ? "batch-bidi-st"
-                                                        : "batch-engine"),
-        engine_(d, k,
+      : engine_(d, k,
                 BatchRouteOptions{.backend = backend,
                                   .threads = threads,
                                   .chunk = 1,
-                                  .cache_entries = 64,
-                                  .cache_shards = 4}) {}
-  std::string_view name() const override { return name_; }
+                                  .cache_entries = 64}) {}
+  std::string_view name() const override {
+    return engine_.backend() == BatchBackend::Alg1Directed ? "batch-alg1"
+                                                           : "batch-engine";
+  }
   int distance(const Word& x, const Word& y) override {
     return engine_.distance_batch({RouteQuery{x, y}})[0];
   }
   std::optional<RoutingPath> route(const Word& x, const Word& y) override {
-    return engine_.route_one(x, y);
+    return engine_.route_batch({RouteQuery{x, y}})[0];
   }
   bool emits_three_block() const override {
-    return engine_.backend() == BatchBackend::BidiEngine ||
-           engine_.backend() == BatchBackend::BidiSuffixTree;
+    return engine_.backend() == BatchBackend::BidiEngine;
   }
 
  private:
-  std::string_view name_;
   BatchRouteEngine engine_;
 };
 
@@ -315,15 +308,10 @@ OracleSet OracleSet::debruijn(std::uint32_t d, std::size_t k,
     set.oracles_.push_back(std::make_unique<Alg2MpOracle>());
     set.oracles_.push_back(std::make_unique<Alg4SuffixTreeOracle>());
     set.oracles_.push_back(std::make_unique<Alg4SuffixAutomatonOracle>());
-    set.oracles_.push_back(
-        std::make_unique<RouteEngineOracle>(k, SideKernelFallback::MpScan));
-    set.oracles_.push_back(
-        std::make_unique<RouteEngineOracle>(k, SideKernelFallback::SuffixTree));
+    set.oracles_.push_back(std::make_unique<RouteEngineOracle>(k));
     if (options.include_batch) {
       set.oracles_.push_back(std::make_unique<BatchEngineOracle>(
           d, k, BatchBackend::BidiEngine, options.batch_threads));
-      set.oracles_.push_back(std::make_unique<BatchEngineOracle>(
-          d, k, BatchBackend::BidiSuffixTree, options.batch_threads));
     }
   }
   if (options.include_greedy) {

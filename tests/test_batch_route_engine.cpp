@@ -1,6 +1,6 @@
 // BatchRouteEngine: the parallel batch path must be bit-for-bit identical
-// to the sequential engines it wraps — for every backend, every thread
-// count and every cache configuration.
+// to the sequential engines it wraps — for both backends, every thread
+// count and every memo configuration.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -103,7 +103,7 @@ TEST(BatchRouteEngine, MatchesSequentialEngineOnFullSmallGrid) {
 }
 
 // Thread-count sweep: 1, 2 and 8 threads must give identical batches
-// (and identical distances), with or without the memo cache.
+// (and identical distances), with or without the memo.
 TEST(BatchRouteEngine, ThreadCountSweepIsDeterministic) {
   const std::uint32_t d = 3;
   const std::size_t k = 6;
@@ -134,8 +134,7 @@ TEST(BatchRouteEngine, BackendsMatchTheirSequentialCounterparts) {
   Rng rng(99);
   const std::vector<RouteQuery> queries = random_queries(rng, d, k, 200);
   for (const BatchBackend backend :
-       {BatchBackend::Alg1Directed, BatchBackend::BidiEngine,
-        BatchBackend::BidiSuffixTree, BatchBackend::CompiledTable}) {
+       {BatchBackend::Alg1Directed, BatchBackend::BidiEngine}) {
     BatchRouteEngine engine(
         d, k, BatchRouteOptions{.backend = backend, .threads = 2, .chunk = 8});
     const std::vector<RoutingPath> paths = engine.route_batch(queries);
@@ -154,8 +153,8 @@ TEST(BatchRouteEngine, BackendsMatchTheirSequentialCounterparts) {
   }
 }
 
-// Cache-hit correctness: a batch of repeated pairs must hit the cache and
-// still return the exact same paths as a cold engine.
+// Memo-hit correctness: a batch of repeated pairs must hit the per-worker
+// memos and still return the exact same paths as a cold engine.
 TEST(BatchRouteEngine, CacheHitsReturnIdenticalPaths) {
   const std::uint32_t d = 2;
   const std::size_t k = 8;
@@ -168,8 +167,7 @@ TEST(BatchRouteEngine, CacheHitsReturnIdenticalPaths) {
   }
   BatchRouteEngine cold(d, k, BatchRouteOptions{.threads = 2});
   BatchRouteEngine cached(
-      d, k,
-      BatchRouteOptions{.threads = 2, .cache_entries = 256, .cache_shards = 8});
+      d, k, BatchRouteOptions{.threads = 2, .cache_entries = 256});
   ASSERT_TRUE(cached.cache_enabled());
   const std::vector<RoutingPath> expected = cold.route_batch(queries);
   const std::vector<RoutingPath> actual = cached.route_batch(queries);
@@ -177,9 +175,9 @@ TEST(BatchRouteEngine, CacheHitsReturnIdenticalPaths) {
   const BatchStats& stats = cached.last_stats();
   EXPECT_EQ(stats.queries, queries.size());
   EXPECT_EQ(stats.cache_lookups, queries.size());
-  // Every pair after its first computation can hit; concurrent first
-  // computations of the same flow may each miss, so bound from below by a
-  // comfortable margin rather than the exact 16 * 63.
+  // Each worker computes a flow once before its own memo can serve it, and
+  // a direct-mapped collision keeps both pairs of a slot missing, so bound
+  // from below by a comfortable margin rather than the exact 16 * 63.
   EXPECT_GE(stats.cache_hits, queries.size() / 2);
   EXPECT_LT(stats.cache_hits, queries.size());
 }
@@ -200,21 +198,25 @@ TEST(BatchRouteEngine, WarmCacheServesRepeatBatches) {
   EXPECT_GE(engine.last_stats().cache_hits, queries.size() - 4);
 }
 
-TEST(BatchRouteEngine, RouteOneMatchesBatchAndValidatesQueries) {
+TEST(BatchRouteEngine, SingleQueryBatchHitsTheMemoAndValidatesQueries) {
   const std::uint32_t d = 2;
   const std::size_t k = 4;
-  BatchRouteEngine engine(d, k, BatchRouteOptions{.cache_entries = 16});
+  BatchRouteEngine engine(
+      d, k, BatchRouteOptions{.threads = 1, .cache_entries = 16});
   const Word x(2, {0, 1, 1, 0});
   const Word y(2, {1, 0, 0, 1});
-  const RoutingPath path = engine.route_one(x, y);
+  const RoutingPath path = engine.route_batch({RouteQuery{x, y}})[0];
   // The packed kernel may pick a different Theorem 2 witness than the
   // scalar scan, so compare by optimality and validity, not hop-for-hop.
   EXPECT_EQ(path.length(), route_bidirectional_mp(x, y).length());
   EXPECT_EQ(path.apply(x), y);
-  // Cached second call returns the identical path.
-  EXPECT_EQ(engine.route_one(x, y), path);
-  EXPECT_THROW(engine.route_one(Word(2, {0, 1, 1}), y), ContractViolation);
-  EXPECT_THROW(engine.route_one(Word(3, {0, 1, 1, 2}), y), ContractViolation);
+  // The second batch is served by the memo with the identical path.
+  EXPECT_EQ(engine.route_batch({RouteQuery{x, y}})[0], path);
+  EXPECT_EQ(engine.last_stats().cache_hits, 1u);
+  EXPECT_THROW(engine.route_batch({RouteQuery{Word(2, {0, 1, 1}), y}}),
+               ContractViolation);
+  EXPECT_THROW(engine.route_batch({RouteQuery{Word(3, {0, 1, 1, 2}), y}}),
+               ContractViolation);
   EXPECT_THROW(engine.route_batch({RouteQuery{Word(2, {0, 1}), y}}),
                ContractViolation);
 }

@@ -10,8 +10,9 @@
 //   TraceSink         enable/disable flips mid-route from a toggling
 //                     thread while worker threads route with tracing
 //                     branches active.
-//   BatchRouteEngine  memo-cache sharding under parallel workers, plus
-//                     concurrent independent engines.
+//   BatchRouteEngine  per-worker memos under parallel workers (counters
+//                     summed after the join), plus concurrent
+//                     independent engines.
 //   LayerTable        sharded view cache under colliding destination
 //                     traffic, pinned views read across evictions, and
 //                     adaptive walks sharing one table.
@@ -345,12 +346,11 @@ TEST(ConcurrencyStressTrace, SinkFlipsMidRouteNeverCrashOrRace) {
 
 // --- BatchRouteEngine -------------------------------------------------------
 
-TEST(ConcurrencyStressBatch, ShardedMemoCacheUnderParallelWorkers) {
+TEST(ConcurrencyStressBatch, PerWorkerMemoUnderParallelWorkers) {
   BatchRouteOptions options;
   options.threads = 4;
   options.chunk = 16;
-  options.cache_entries = 64;  // tiny: force eviction/overwrite races
-  options.cache_shards = 4;
+  options.cache_entries = 64;  // tiny: 16 slots a worker, constant eviction
   BatchRouteEngine engine(2, 10, options);
 
   Rng rng(7);
@@ -371,6 +371,9 @@ TEST(ConcurrencyStressBatch, ShardedMemoCacheUnderParallelWorkers) {
     for (std::size_t i = 0; i < out.size(); ++i) {
       ASSERT_EQ(out[i], reference[i]) << "query " << i << " round " << round;
     }
+    // Every query consulted exactly one worker's memo, and the per-worker
+    // counters summed after the join account for all of them.
+    ASSERT_EQ(engine.last_stats().cache_lookups, batch.size());
   }
   EXPECT_GT(engine.last_stats().cache_hits, 0u);
 }

@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "testkit/conformance.hpp"
+#include "testing_util.hpp"
 
 namespace {
 
@@ -421,42 +422,61 @@ TEST(Trace, NoSinkFastPathDoesNotAllocate) {
 }
 
 // The batch engine's steady state is allocation-free end to end: per-query
-// work runs in the per-worker engine arena (packed lanes for packable
-// (d, k)), parallel_for borrows the chunk body without boxing it, and a
-// warmed output vector is written in place. Both bi-directional backends
-// must hold the property — the suffix-tree backend only differs in the
-// scalar fallback, which packable words never reach.
+// work runs in the per-worker engine arena, parallel_for borrows the chunk
+// body without boxing it, a warmed output vector is written in place, and
+// a warmed memo copies into storage it already owns. Both kernels must hold
+// the property: the packed lane (DG(2,8)) and the in-place Algorithm 3 scan
+// that every word past the lane takes (DG(2,80), DG(17,5)). The memo runs
+// with fewer slots than pairs, so its warmed stores evict too.
 TEST(Trace, WarmedBatchEngineDoesNotAllocate) {
   ASSERT_FALSE(obs::tracing_enabled());
-  for (const BatchBackend backend :
-       {BatchBackend::BidiEngine, BatchBackend::BidiSuffixTree}) {
+  struct Network {
+    std::uint32_t d;
+    std::size_t k;
+    std::size_t cache_entries;
+  };
+  for (const Network net : {Network{2, 8, 0}, Network{2, 80, 0},
+                            Network{17, 5, 0}, Network{2, 8, 32},
+                            Network{2, 80, 32}}) {
+    const std::string label = "DG(" + std::to_string(net.d) + "," +
+                              std::to_string(net.k) + ") cache " +
+                              std::to_string(net.cache_entries);
     BatchRouteEngine engine(
-        2, 8,
-        BatchRouteOptions{.backend = backend, .threads = 1, .chunk = 16});
+        net.d, net.k,
+        BatchRouteOptions{
+            .threads = 1, .chunk = 16, .cache_entries = net.cache_entries});
     Rng rng(42);
     std::vector<RouteQuery> queries;
     for (int i = 0; i < 64; ++i) {
-      queries.push_back(RouteQuery{Word::from_rank(2, 8, rng.below(256)),
-                                   Word::from_rank(2, 8, rng.below(256))});
+      queries.push_back(
+          RouteQuery{dbn::testing::random_word(rng, net.d, net.k),
+                     dbn::testing::random_word(rng, net.d, net.k)});
     }
     std::vector<RoutingPath> out;
-    engine.route_batch_into(queries, out);  // warm paths + engine buffers
+    // Two warm batches: paths and engine buffers, then every memo slot at
+    // the capacity its pairs need.
+    engine.route_batch_into(queries, out);
+    engine.route_batch_into(queries, out);
     const std::vector<int> distances = engine.distance_batch(queries);
     ASSERT_EQ(distances.size(), queries.size());
     std::uint64_t after_routes = 0, after_distances = 0;
+    std::size_t evictions = 0;
     {
       AllocationWindow window;
       engine.route_batch_into(queries, out);
       after_routes = window.count();
+      evictions = engine.last_stats().cache_evictions;
       engine.distance_batch(queries);
       after_distances = window.count();
     }
-    EXPECT_EQ(after_routes, 0u)
-        << batch_backend_name(backend) << ": warmed route batch allocated";
+    EXPECT_EQ(after_routes, 0u) << label << ": warmed route batch allocated";
     // distance_batch returns a fresh vector by value — that one result
     // buffer is the only permitted allocation.
     EXPECT_LE(after_distances - after_routes, 1u)
-        << batch_backend_name(backend) << ": warmed distance batch allocated";
+        << label << ": warmed distance batch allocated";
+    if (net.cache_entries > 0) {
+      EXPECT_GT(evictions, 0u) << label;
+    }
   }
 }
 

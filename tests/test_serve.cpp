@@ -302,11 +302,11 @@ TEST(ServeServer, RoutesAndDistancesMatchReferenceRouters) {
             0u);
 }
 
-TEST(ServeServer, CompiledTableBackendServesOptimalPaths) {
+TEST(ServeServer, DirectedBackendServesOptimalPaths) {
   ServeConfig config;
   config.d = 2;
   config.k = 5;
-  config.backend = BatchBackend::CompiledTable;
+  config.backend = BatchBackend::Alg1Directed;
   RouteServer server(config);
   Client client(server);
 
@@ -327,7 +327,10 @@ TEST(ServeServer, CompiledTableBackendServesOptimalPaths) {
     ASSERT_EQ(r.status, Status::Ok);
     const auto& [x, y] = pairs[static_cast<std::size_t>(r.id)];
     EXPECT_TRUE(replay_lands_on(x, y, r.hops));
-    EXPECT_EQ(static_cast<int>(r.hops.size()), undirected_distance(x, y));
+    EXPECT_EQ(static_cast<int>(r.hops.size()), directed_distance(x, y));
+    for (const Hop& h : r.hops) {
+      EXPECT_EQ(h.type, ShiftType::Left);  // DG(d,k) directed edges only
+    }
   }
 }
 

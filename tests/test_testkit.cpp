@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/contract.hpp"
 #include "core/distance.hpp"
@@ -67,6 +69,29 @@ TEST(OracleSets, AllPairsCleanOnSmallNetworks) {
       }
     }
   }
+}
+
+// The default panel, pinned: every production engine sits in it exactly
+// once beside the independent oracles it is checked against, so dropping
+// or duplicating an engine (or its oracle) has to show up here.
+TEST(OracleSets, DefaultPanelHoldsEachEngineOnce) {
+  const auto names = [](const OracleSet& set) {
+    std::vector<std::string_view> out;
+    for (const auto& oracle : set.oracles()) {
+      out.push_back(oracle->name());
+    }
+    return out;
+  };
+  EXPECT_EQ(names(OracleSet::debruijn(2, 4, Orientation::Undirected)),
+            (std::vector<std::string_view>{
+                "alg2-mp", "alg4-st", "alg4-sam", "route-engine",
+                "batch-engine", "greedy-bi", "bfs-router", "routing-table",
+                "layer-table-bi"}));
+  EXPECT_EQ(names(OracleSet::debruijn(2, 4, Orientation::Directed)),
+            (std::vector<std::string_view>{"alg1-uni", "batch-alg1",
+                                           "greedy-uni", "bfs-router",
+                                           "routing-table",
+                                           "layer-table-uni"}));
 }
 
 TEST(OracleSets, LegalHopEnforcesTheMoveRule) {

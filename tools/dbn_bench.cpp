@@ -10,17 +10,19 @@
 //             [--json PATH] [--min-speedup X] [--speedup-threads N]
 //             [--trace-out PATH] [--metrics-out PATH] [--quiet]
 //
-// Backends: alg1-directed | bidi-engine | bidi-suffix-tree | compiled-table.
+// Backends: alg1-directed | bidi-engine.
 // --flows F > 0 cycles F hot pairs through the batch (the cache regime);
-// --cache N enables the sharded memo cache with N entries.
+// --cache N enables the per-worker memo with N entries in total.
 // --smoke selects the CI smoke grid (d=2, k=10, 32768 queries, repeats 3,
-// threads 1,2,4,8, backends alg1-directed + bidi-engine + compiled-table)
-// and adds a cached bidi-engine sweep.
+// threads 1,2,4,8, backends alg1-directed + bidi-engine) and adds a cached
+// bidi-engine sweep.
 //
-// --min-speedup X fails (exit 3) when the bidi-engine speedup at
-// --speedup-threads (default 8) over single-thread falls below X — skipped
-// with a warning when the host has fewer hardware threads than that, since
-// a 1-core runner cannot exhibit parallel speedup.
+// --min-speedup X gates the uncached bidi-engine speedup over one thread
+// at t = min(--speedup-threads (default 8), hardware threads), adding t
+// and 1 to the sweep when missing. It fails (exit 3) below
+// X * t / --speedup-threads, so a host with fewer cores is held to the
+// same per-core bar, and skips only on a 1-thread host, which cannot
+// exhibit parallel speedup.
 //
 // --trace-out PATH runs one extra *traced* pass (capped at 4096 queries so
 // the file stays manageable) after the timed sweep — the timed runs stay
@@ -90,13 +92,15 @@ std::optional<BatchBackend> parse_backend(const std::string& name) {
   if (name == "bidi-engine" || name == "engine") {
     return BatchBackend::BidiEngine;
   }
-  if (name == "bidi-suffix-tree" || name == "st") {
-    return BatchBackend::BidiSuffixTree;
-  }
-  if (name == "compiled-table" || name == "table") {
-    return BatchBackend::CompiledTable;
-  }
   return std::nullopt;
+}
+
+// The speedup gate's thread count: a host can only show the parallelism
+// its hardware threads allow.
+std::size_t gate_threads(const BenchConfig& config) {
+  return std::min<std::size_t>(
+      config.speedup_threads,
+      std::max(1u, std::thread::hardware_concurrency()));
 }
 
 std::vector<std::string> split_csv(const std::string& text) {
@@ -245,8 +249,7 @@ void usage(std::ostream& out) {
          "                 [--cache N] [--flows N] [--json PATH]\n"
          "                 [--min-speedup X] [--speedup-threads N]\n"
          "                 [--trace-out PATH] [--metrics-out PATH] [--quiet]\n"
-         "backends: alg1-directed bidi-engine bidi-suffix-tree "
-         "compiled-table\n";
+         "backends: alg1-directed bidi-engine\n";
 }
 
 std::optional<BenchConfig> parse_args(int argc, char** argv) {
@@ -268,6 +271,8 @@ std::optional<BenchConfig> parse_args(int argc, char** argv) {
     }
     return flat[++i];
   };
+  // --smoke gates at 3x unless --min-speedup says otherwise (0 = off).
+  bool min_speedup_given = false;
   for (std::size_t i = 0; i < flat.size(); ++i) {
     const std::string& arg = flat[i];
     const auto number = [&](auto& out_value) -> bool {
@@ -309,6 +314,7 @@ std::optional<BenchConfig> parse_args(int argc, char** argv) {
       }
       try {
         config.min_speedup = std::stod(*text);
+        min_speedup_given = true;
       } catch (const std::exception&) {
         std::cerr << "dbn_bench: bad number for --min-speedup\n";
         return std::nullopt;
@@ -375,10 +381,17 @@ std::optional<BenchConfig> parse_args(int argc, char** argv) {
     config.queries = 32768;
     config.repeats = 3;
     config.threads = {1, 2, 4, 8};
-    config.backends = {BatchBackend::Alg1Directed, BatchBackend::BidiEngine,
-                       BatchBackend::CompiledTable};
-    if (config.min_speedup == 0.0) {
+    config.backends = {BatchBackend::Alg1Directed, BatchBackend::BidiEngine};
+    if (!min_speedup_given) {
       config.min_speedup = 3.0;
+    }
+  }
+  if (config.min_speedup > 0.0) {
+    for (const std::size_t t : {std::size_t{1}, gate_threads(config)}) {
+      if (std::find(config.threads.begin(), config.threads.end(), t) ==
+          config.threads.end()) {
+        config.threads.push_back(t);
+      }
     }
   }
   if (config.threads.empty() || config.backends.empty() ||
@@ -418,7 +431,7 @@ int main(int argc, char** argv) {
       }
     }
     if (config.smoke) {
-      // Cached sweep: 64 hot flows through the sharded memo cache.
+      // Cached sweep: 64 hot flows through the per-worker memos.
       BenchConfig cached = config;
       cached.flows = 64;
       const std::vector<RouteQuery> queries = make_queries(cached);
@@ -475,24 +488,27 @@ int main(int argc, char** argv) {
       write_json(std::cout, config, rows);
     }
     if (config.min_speedup > 0.0) {
-      const unsigned hardware = std::thread::hardware_concurrency();
-      if (hardware < config.speedup_threads) {
-        std::cerr << "dbn_bench: skipping speedup check (host has " << hardware
-                  << " hardware threads < " << config.speedup_threads
-                  << ")\n";
+      const std::size_t threads = gate_threads(config);
+      if (threads < 2) {
+        std::cerr << "dbn_bench: skipping speedup check (host has 1 "
+                     "hardware thread)\n";
         return 0;
       }
+      const double required = config.min_speedup *
+                              static_cast<double>(threads) /
+                              static_cast<double>(config.speedup_threads);
       for (const ResultRow& row : rows) {
         if (row.backend == batch_backend_name(BatchBackend::BidiEngine) &&
-            row.cache_entries == 0 && row.threads == config.speedup_threads) {
-          if (row.speedup_vs_1t < config.min_speedup) {
+            row.cache_entries == 0 && row.threads == threads) {
+          if (row.speedup_vs_1t < required) {
             std::cerr << "dbn_bench: FAIL speedup " << row.speedup_vs_1t
                       << "x at " << row.threads << " threads < required "
-                      << config.min_speedup << "x\n";
+                      << required << "x\n";
             return 3;
           }
           std::cerr << "dbn_bench: speedup check ok (" << row.speedup_vs_1t
-                    << "x at " << row.threads << " threads)\n";
+                    << "x at " << row.threads << " threads >= " << required
+                    << "x)\n";
         }
       }
     }

@@ -8,7 +8,8 @@
 //   dbn broadcast <d> <k> <root> [--single-port]
 //   dbn simulate <d> <k> [--rate=R] [--duration=T]
 //                [--policy=zero|random|lq|greedy|deflect|layer]
-//   dbn serve <d> <k> [--stdio | --port=N] [--port-file=PATH] [--backend=...]
+//   dbn serve <d> <k> [--stdio | --port=N] [--port-file=PATH]
+//             [--backend=uni|bidi]
 //
 // Every command also accepts --trace-out=FILE (route spans / simulator
 // events as trace/1 NDJSON, or Chrome trace_event JSON when FILE ends in
@@ -23,12 +24,15 @@
 // not supported on the command line (the library itself has no such
 // limit). Exit status 0 on success, 1 on usage errors.
 #include <atomic>
+#include <cctype>
+#include <charconv>
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -68,8 +72,7 @@ void usage(std::ostream& out) {
          "  dbn simulate <d> <k> [--rate=R] [--duration=T]\n"
          "               [--policy=zero|random|lq|greedy|deflect|layer]\n"
          "  dbn serve <d> <k> [--stdio | --port=N] [--port-file=PATH]\n"
-         "            [--backend=uni|bidi|st|table] [--threads=N] "
-         "[--queue=N]\n"
+         "            [--backend=uni|bidi] [--threads=N] [--queue=N]\n"
          "            [--batch=N] [--cache=N] [--wildcards]\n"
          "            [--trace-sample=N] [--trace-seed=S] [--slow-us=T]\n"
          "all commands accept --trace-out=FILE, --metrics-out=FILE,\n"
@@ -96,6 +99,22 @@ bool has_flag(const std::vector<std::string_view>& args,
     }
   }
   return false;
+}
+
+// A numeric flag value parsed whole into T: it must start with a digit (no
+// sign, space, "inf" or "nan"), end with the number, and fit T.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return std::nullopt;
+  }
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 Word parse_word(std::uint32_t d, std::size_t k, std::string_view text) {
@@ -355,26 +374,41 @@ int cmd_serve(std::uint32_t d, std::size_t k,
     config.backend = BatchBackend::Alg1Directed;
   } else if (backend == "bidi") {
     config.backend = BatchBackend::BidiEngine;
-  } else if (backend == "st") {
-    config.backend = BatchBackend::BidiSuffixTree;
-  } else if (backend == "table") {
-    config.backend = BatchBackend::CompiledTable;
   } else {
-    std::cerr << "unknown backend: " << backend << " (uni|bidi|st|table)\n";
+    std::cerr << "unknown backend: " << backend << " (uni|bidi)\n";
     return 1;
   }
-  const auto num_flag = [&args](std::string_view name, std::size_t fallback) {
+  // Each numeric flag parses whole into its field's type, or the command
+  // fails before the server is built.
+  bool flags_ok = true;
+  const auto num_flag = [&args, &flags_ok](std::string_view name,
+                                           auto& target) {
     const auto v = flag_value(args, name);
-    return v ? static_cast<std::size_t>(std::atoll(std::string(*v).c_str()))
-             : fallback;
+    if (!v) {
+      return;
+    }
+    const auto parsed =
+        parse_number<std::remove_reference_t<decltype(target)>>(*v);
+    if (!parsed) {
+      std::cerr << "dbn serve: bad value for " << name << ": '" << *v
+                << "'\n";
+      flags_ok = false;
+      return;
+    }
+    target = *parsed;
   };
-  config.threads = num_flag("--threads", config.threads);
-  config.queue_capacity = num_flag("--queue", config.queue_capacity);
-  config.max_batch = num_flag("--batch", config.max_batch);
-  config.cache_entries = num_flag("--cache", config.cache_entries);
-  config.trace_sample = num_flag("--trace-sample", 0);
-  config.trace_seed = num_flag("--trace-seed", 0);
-  config.slow_us = static_cast<double>(num_flag("--slow-us", 0));
+  serve::TcpOptions tcp;
+  num_flag("--threads", config.threads);
+  num_flag("--queue", config.queue_capacity);
+  num_flag("--batch", config.max_batch);
+  num_flag("--cache", config.cache_entries);
+  num_flag("--trace-sample", config.trace_sample);
+  num_flag("--trace-seed", config.trace_seed);
+  num_flag("--slow-us", config.slow_us);
+  num_flag("--port", tcp.port);
+  if (!flags_ok) {
+    return 1;
+  }
   if (has_flag(args, "--wildcards")) {
     config.wildcard_mode = WildcardMode::Wildcards;
   }
@@ -385,8 +419,6 @@ int cmd_serve(std::uint32_t d, std::size_t k,
     // default disposition (use the TCP mode for signal-driven drains).
     rc = serve::serve_stdio(server, std::cin, std::cout);
   } else {
-    serve::TcpOptions tcp;
-    tcp.port = static_cast<std::uint16_t>(num_flag("--port", 0));
     tcp.port_file = std::string(flag_value(args, "--port-file").value_or(""));
     g_serve_stop.store(false);
     std::signal(SIGTERM, serve_stop_handler);
