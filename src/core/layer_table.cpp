@@ -1,17 +1,14 @@
 #include "core/layer_table.hpp"
 
-#include <algorithm>
-
 #include "common/schema.hpp"
 #include "core/distance.hpp"
-#include "debruijn/kautz_routing.hpp"
 
 namespace dbn {
 
 namespace {
 
 /// splitmix64 finalizer — spreads consecutive destination ranks across
-/// shards and slots.
+/// slots.
 std::uint64_t mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -21,114 +18,34 @@ std::uint64_t mix(std::uint64_t x) {
 
 }  // namespace
 
-std::string_view layer_name(DistanceLayer layer) {
-  switch (layer) {
-    case DistanceLayer::Closer:
-      return "closer";
-    case DistanceLayer::Same:
-      return "same";
-    case DistanceLayer::Farther:
-      return "farther";
-  }
-  return "?";
-}
-
 LayerTable::LayerTable(const DeBruijnGraph& graph,
                        const LayerTableOptions& options)
-    : family_(graph.orientation() == Orientation::Directed
-                  ? Family::DeBruijnDirected
-                  : Family::DeBruijnUndirected),
-      n_(graph.vertex_count()),
-      graph_(std::make_unique<DeBruijnGraph>(graph)) {
-  DBN_REQUIRE(n_ <= options.max_vertices,
+    : graph_(graph),
+      slot_count_(options.cache_destinations),
+      slots_(slot_count_) {
+  DBN_REQUIRE(graph.orientation() == Orientation::Undirected,
+              "layer table: tables hold the undirected distance");
+  // The cap also keeps k <= 20 for d >= 2 (d = 1 is one vertex at
+  // distance 0), so a byte holds every entry.
+  DBN_REQUIRE(graph.vertex_count() <= kMaxVertices,
               "layer table: network too large for dense per-destination "
               "tables");
-  // The distance never exceeds the diameter k, and any graph small enough
-  // to pass the vertex guard with d >= 2 has k < 64; d = 1 collapses to a
-  // single vertex at distance 0. Either way a byte holds every entry.
-  DBN_REQUIRE(graph.k() <= 255 || graph.radix() == 1,
-              "layer table: diameter does not fit the byte-per-vertex "
-              "layout");
-  init_cache(options);
-}
-
-LayerTable::LayerTable(const KautzGraph& graph, const LayerTableOptions& options)
-    : family_(Family::Kautz),
-      n_(graph.vertex_count()),
-      kautz_(std::make_unique<KautzGraph>(graph)) {
-  DBN_REQUIRE(n_ <= options.max_vertices,
-              "layer table: network too large for dense per-destination "
-              "tables");
-  DBN_REQUIRE(graph.k() <= 255 || graph.degree() == 1,
-              "layer table: diameter does not fit the byte-per-vertex "
-              "layout");
-  init_cache(options);
-}
-
-void LayerTable::init_cache(const LayerTableOptions& options) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   metrics_lookups_ = registry.counter(schema::metric::kLayerLookups);
   metrics_hits_ = registry.counter(schema::metric::kLayerHits);
   metrics_builds_ = registry.counter(schema::metric::kLayerBuilds);
   metrics_evictions_ = registry.counter(schema::metric::kLayerEvictions);
-  if (options.cache_destinations == 0) {
-    return;  // uncached: every view() rebuilds
-  }
-  const std::size_t shard_count = std::max<std::size_t>(options.cache_shards, 1);
-  slots_per_shard_ =
-      std::max<std::size_t>(options.cache_destinations / shard_count, 1);
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    auto shard = std::make_unique<Shard>();
-    // Pre-publication, but lock anyway: one uncontended acquisition per
-    // shard keeps the sizing write inside the checked discipline.
-    {
-      const MutexLock lock(shard->mutex);
-      shard->slots.resize(slots_per_shard_);
-    }
-    shards_.push_back(std::move(shard));
-  }
-}
-
-std::uint64_t LayerTable::rank_of(const Word& w) const {
-  if (family_ == Family::Kautz) {
-    return kautz_->rank(w);  // validates the Kautz word shape
-  }
-  DBN_REQUIRE(w.radix() == graph_->radix() && w.length() == graph_->k(),
-              "layer table: word does not belong to this network");
-  return w.rank();
 }
 
 std::shared_ptr<const LayerTable::View> LayerTable::build_view(
     std::uint64_t destination) const {
   auto view = std::make_shared<View>();
   view->destination_ = destination;
-  view->dist_.resize(n_);
-  switch (family_) {
-    case Family::DeBruijnDirected: {
-      const Word y = graph_->word(destination);
-      for (std::uint64_t v = 0; v < n_; ++v) {
-        view->dist_[v] =
-            static_cast<std::uint8_t>(directed_distance(graph_->word(v), y));
-      }
-      break;
-    }
-    case Family::DeBruijnUndirected: {
-      const Word y = graph_->word(destination);
-      for (std::uint64_t v = 0; v < n_; ++v) {
-        view->dist_[v] =
-            static_cast<std::uint8_t>(undirected_distance(graph_->word(v), y));
-      }
-      break;
-    }
-    case Family::Kautz: {
-      const Word y = kautz_->word(destination);
-      for (std::uint64_t v = 0; v < n_; ++v) {
-        view->dist_[v] = static_cast<std::uint8_t>(
-            kautz_directed_distance(*kautz_, kautz_->word(v), y));
-      }
-      break;
-    }
+  view->dist_.resize(graph_.vertex_count());
+  const Word y = graph_.word(destination);
+  for (std::uint64_t v = 0; v < graph_.vertex_count(); ++v) {
+    view->dist_[v] =
+        static_cast<std::uint8_t>(undirected_distance(graph_.word(v), y));
   }
   DBN_ENSURE(view->dist_[destination] == 0,
              "layer table: destination must be in layer 0 of itself");
@@ -136,35 +53,35 @@ std::shared_ptr<const LayerTable::View> LayerTable::build_view(
 }
 
 std::shared_ptr<const LayerTable::View> LayerTable::view(const Word& y) {
-  const std::uint64_t destination = rank_of(y);
+  DBN_REQUIRE(y.radix() == graph_.radix() && y.length() == graph_.k(),
+              "layer table: word does not belong to this network");
+  const std::uint64_t destination = y.rank();
   lookups_.fetch_add(1, std::memory_order_relaxed);
   metrics_lookups_.inc();
-  if (shards_.empty()) {
+  if (slot_count_ == 0) {
     builds_.fetch_add(1, std::memory_order_relaxed);
     metrics_builds_.inc();
     return build_view(destination);
   }
-  const std::uint64_t h = mix(destination);
-  Shard& shard = *shards_[h % shards_.size()];
-  const std::size_t slot = (h >> 32) % slots_per_shard_;
+  const std::size_t slot = mix(destination) % slot_count_;
   {
-    const MutexLock lock(shard.mutex);
-    const std::shared_ptr<const View>& cached = shard.slots[slot];
+    const MutexLock lock(mutex_);
+    const std::shared_ptr<const View>& cached = slots_[slot];
     if (cached != nullptr && cached->destination() == destination) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       metrics_hits_.inc();
       return cached;
     }
   }
-  // Build outside the lock: an O(N k) fill must not stall other shard
-  // traffic. A racing builder of the same destination produces an
-  // identical table; last store wins and both callers hold valid views.
+  // Build outside the lock: an O(N k) fill must not stall other lookups.
+  // A racing builder of the same destination produces an identical table;
+  // last store wins and both callers hold valid views.
   std::shared_ptr<const View> built = build_view(destination);
   builds_.fetch_add(1, std::memory_order_relaxed);
   metrics_builds_.inc();
   {
-    const MutexLock lock(shard.mutex);
-    std::shared_ptr<const View>& slot_ref = shard.slots[slot];
+    const MutexLock lock(mutex_);
+    std::shared_ptr<const View>& slot_ref = slots_[slot];
     if (slot_ref != nullptr && slot_ref->destination() != destination) {
       evictions_.fetch_add(1, std::memory_order_relaxed);
       metrics_evictions_.inc();
@@ -172,16 +89,6 @@ std::shared_ptr<const LayerTable::View> LayerTable::view(const Word& y) {
     slot_ref = built;
   }
   return built;
-}
-
-DistanceLayer LayerTable::classify(const Word& x, const Word& y,
-                                   const Word& neighbor) {
-  const std::uint64_t from = rank_of(x);
-  const std::uint64_t to = rank_of(neighbor);
-  DBN_AUDIT(family_ == Family::Kautz ||
-                graph_->has_edge(from, to),
-            "layer classify: `neighbor` must be one move from `x`");
-  return view(y)->classify(from, to);
 }
 
 LayerTableStats LayerTable::stats() const {

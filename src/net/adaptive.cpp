@@ -9,6 +9,61 @@
 
 namespace dbn::net {
 
+int adaptive_ttl(int ttl, std::size_t k) {
+  return ttl > 0 ? ttl : std::max(4 * static_cast<int>(k), 8);
+}
+
+std::optional<AdaptiveHop> adaptive_hop(
+    const DeBruijnGraph& graph, const std::vector<bool>& failed,
+    std::uint64_t at, std::uint64_t previous, const Word& y,
+    const LayerTable::View* view, const AdaptiveConfig& config, Rng& rng) {
+  const auto distance_to_y = [&](std::uint64_t r) {
+    return view != nullptr ? view->distance(r)
+                           : undirected_distance(graph.word(r), y);
+  };
+  const int here = distance_to_y(at);
+  std::vector<std::uint64_t> closer;
+  std::vector<std::uint64_t> same;
+  std::vector<std::uint64_t> farther;
+  for (const std::uint64_t r : graph.neighbors(at)) {
+    if (failed[r]) {
+      continue;
+    }
+    const int dist = distance_to_y(r);
+    if (dist < here) {
+      closer.push_back(r);
+    } else if (dist == here) {
+      same.push_back(r);
+    } else {
+      DBN_ASSERT(dist == here + 1,
+                 "the undirected metric puts every Farther neighbor one "
+                 "layer out");
+      if (config.deflect) {
+        farther.push_back(r);
+      }
+    }
+  }
+  const auto pick = [&](const std::vector<std::uint64_t>& pool,
+                        DistanceLayer move) {
+    return AdaptiveHop{pool[rng.below(pool.size())], move, here};
+  };
+  if (!closer.empty() && (same.empty() || !rng.chance(config.jitter))) {
+    return pick(closer, DistanceLayer::Closer);
+  }
+  if (!same.empty()) {
+    return pick(same, DistanceLayer::Same);
+  }
+  if (farther.empty()) {
+    return std::nullopt;  // stuck: every live neighbor is dead or none exist
+  }
+  // Deflect, but never straight back to where we came from when any
+  // other escape exists (neighbors are distinct, so erasing leaves one).
+  if (farther.size() > 1) {
+    std::erase(farther, previous);
+  }
+  return pick(farther, DistanceLayer::Farther);
+}
+
 AdaptiveResult adaptive_route(const DeBruijnGraph& graph,
                               const std::vector<bool>& failed, const Word& x,
                               const Word& y, Rng& rng,
@@ -30,16 +85,7 @@ AdaptiveResult adaptive_route(const DeBruijnGraph& graph,
   // and every per-hop decision below is plain array reads.
   const std::shared_ptr<const LayerTable::View> view =
       config.layers != nullptr ? config.layers->view(y) : nullptr;
-  const auto distance_to_y = [&](const Word& w) {
-    return view != nullptr ? view->distance(w.rank())
-                           : undirected_distance(w, y);
-  };
-
-  // 4k covers greedy walks with detours for k >= 2; at k = 1 it leaves a
-  // 4-hop budget that real fault clusters exhaust, so floor it.
-  const int ttl = config.ttl > 0
-                      ? config.ttl
-                      : std::max(4 * static_cast<int>(graph.k()), 8);
+  const int ttl = adaptive_ttl(config.ttl, graph.k());
   AdaptiveResult result;
   obs::Span span;
   if (obs::tracing_enabled()) {
@@ -50,102 +96,38 @@ AdaptiveResult adaptive_route(const DeBruijnGraph& graph,
         .arg(obs::targ("ttl", ttl))
         .arg(obs::targ("scoring", view != nullptr ? "layer-table" : "rescore"));
   }
-  Word at = x;
-  std::uint64_t previous = graph.vertex_count();  // sentinel: no previous
-  std::vector<Word> improving;  // layer Closer
-  std::vector<Word> sideways;   // layer Same
-  std::vector<Word> backward;   // nearest Farther layer
-  while (!(at == y)) {
-    if (result.hops >= ttl) {
-      if (span) {
-        span.arg(obs::targ("delivered", "false"))
-            .arg(obs::targ("reason", "ttl"));
-        span.end(static_cast<double>(result.hops));
-      }
-      return result;  // undelivered
-    }
-    const int here = distance_to_y(at);
-    improving.clear();
-    sideways.clear();
-    backward.clear();
-    int backward_best = 0;
-    for (const std::uint64_t r : graph.neighbors(at.rank())) {
-      if (failed[r]) {
-        continue;
-      }
-      const Word next = graph.word(r);
-      const int dist = distance_to_y(next);
-      const DistanceLayer layer = dist < here    ? DistanceLayer::Closer
-                                  : dist == here ? DistanceLayer::Same
-                                                 : DistanceLayer::Farther;
-      switch (layer) {
-        case DistanceLayer::Closer:
-          improving.push_back(next);
-          break;
-        case DistanceLayer::Same:
-          sideways.push_back(next);
-          break;
-        case DistanceLayer::Farther:
-          if (!config.deflect) {
-            break;
-          }
-          // In the undirected DG every Farther neighbor sits exactly one
-          // layer out (the distance is a graph metric), so this minimum is
-          // trivially the whole pool; tracking it keeps the deflection
-          // choice well-defined for any distance source.
-          if (backward.empty() || dist < backward_best) {
-            backward_best = dist;
-            backward.clear();
-          }
-          if (dist == backward_best) {
-            backward.push_back(next);
-          }
-          break;
-      }
-    }
-    const bool take_sideways =
-        improving.empty() ||
-        (!sideways.empty() && rng.chance(config.jitter));
-    const std::vector<Word>* pool = take_sideways ? &sideways : &improving;
-    bool deflected = false;
-    if (pool->empty()) {
-      if (backward.empty()) {
-        if (span) {
-          span.arg(obs::targ("delivered", "false"))
-              .arg(obs::targ("reason", "stuck"));
-          span.end(static_cast<double>(result.hops));
-        }
-        return result;  // stuck: every live neighbor is dead or none exist
-      }
-      // Deflect: retreat along the nearest Farther layer, but never
-      // straight back to where we came from when any other escape exists.
-      if (backward.size() > 1) {
-        std::vector<Word> away;
-        for (const Word& w : backward) {
-          if (w.rank() != previous) {
-            away.push_back(w);
-          }
-        }
-        if (!away.empty()) {
-          backward = std::move(away);
-        }
-      }
-      pool = &backward;
-      deflected = true;
-    }
-    previous = at.rank();
-    at = (*pool)[rng.below(pool->size())];
-    ++result.hops;
-    result.deflections += deflected;
-    const bool moved_sideways = !deflected && pool == &sideways;
-    result.sideways_moves += moved_sideways;
+  const auto undelivered = [&](const char* reason) {
     if (span) {
+      span.arg(obs::targ("delivered", "false"))
+          .arg(obs::targ("reason", reason));
+      span.end(static_cast<double>(result.hops));
+    }
+    return result;
+  };
+  const std::uint64_t target = y.rank();
+  std::uint64_t at = x.rank();
+  std::uint64_t previous = graph.vertex_count();  // sentinel: no previous
+  while (at != target) {
+    if (result.hops >= ttl) {
+      return undelivered("ttl");
+    }
+    const std::optional<AdaptiveHop> hop =
+        adaptive_hop(graph, failed, at, previous, y, view.get(), config, rng);
+    if (!hop.has_value()) {
+      return undelivered("stuck");
+    }
+    previous = at;
+    at = hop->next;
+    ++result.hops;
+    result.sideways_moves += hop->move == DistanceLayer::Same;
+    result.deflections += hop->move == DistanceLayer::Farther;
+    if (span) {
+      const char* move = hop->move == DistanceLayer::Farther ? "deflect"
+                         : hop->move == DistanceLayer::Same  ? "sideways"
+                                                             : "improve";
       span.instant("hop", static_cast<double>(result.hops - 1),
-                   {obs::targ("to", at.to_string()),
-                    obs::targ("move", deflected        ? "deflect"
-                              : moved_sideways ? "sideways"
-                                               : "improve"),
-                    obs::targ("dist", here)});
+                   {obs::targ("to", graph.word(at).to_string()),
+                    obs::targ("move", move), obs::targ("dist", hop->here)});
     }
   }
   result.delivered = true;

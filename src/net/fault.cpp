@@ -93,49 +93,7 @@ FaultAwareRouter::FaultAwareRouter(const DeBruijnGraph& graph,
 
 std::optional<RoutingPath> FaultAwareRouter::route(const Word& x,
                                                    const Word& y) const {
-  DBN_REQUIRE(x.radix() == graph_.radix() && x.length() == graph_.k() &&
-                  y.radix() == graph_.radix() && y.length() == graph_.k(),
-              "route endpoints must belong to the graph");
-  const std::uint64_t source = x.rank();
-  const std::uint64_t target = y.rank();
-  if (failed_[source] || failed_[target]) {
-    return std::nullopt;
-  }
-  if (source == target) {
-    return RoutingPath{};
-  }
-  // Parent-pointer BFS skipping failed sites.
-  std::vector<std::int64_t> parent(graph_.vertex_count(), -2);
-  std::deque<std::uint64_t> frontier;
-  parent[source] = -1;
-  frontier.push_back(source);
-  while (!frontier.empty() && parent[target] == -2) {
-    const std::uint64_t v = frontier.front();
-    frontier.pop_front();
-    for (const std::uint64_t w : graph_.neighbors(v)) {
-      if (parent[w] != -2 || failed_[w]) {
-        continue;
-      }
-      parent[w] = static_cast<std::int64_t>(v);
-      frontier.push_back(w);
-    }
-  }
-  if (parent[target] == -2) {
-    return std::nullopt;
-  }
-  std::vector<std::uint64_t> ranks;
-  for (std::uint64_t v = target;; v = static_cast<std::uint64_t>(parent[v])) {
-    ranks.push_back(v);
-    if (parent[v] == -1) {
-      break;
-    }
-  }
-  std::reverse(ranks.begin(), ranks.end());
-  RoutingPath path;
-  for (std::size_t i = 0; i + 1 < ranks.size(); ++i) {
-    path.push(classify_edge(graph_, ranks[i], ranks[i + 1]));
-  }
-  return path;
+  return route_avoiding(graph_, failed_, {}, x, y);
 }
 
 namespace {

@@ -86,7 +86,8 @@ class FaultAwareRouter {
   FaultAwareRouter(const DeBruijnGraph& graph, std::vector<bool> failed);
 
   /// A shortest surviving path from x to y avoiding failed sites, or
-  /// std::nullopt if none exists (or an endpoint is dead).
+  /// std::nullopt if none exists (or an endpoint is dead): route_avoiding
+  /// with no failed links.
   std::optional<RoutingPath> route(const Word& x, const Word& y) const;
 
   const std::vector<bool>& failed() const { return failed_; }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/contract.hpp"
-#include "core/distance.hpp"
 #include "core/hop_by_hop.hpp"
 #include "obs/trace.hpp"
 
@@ -68,12 +68,12 @@ Simulator::Simulator(const SimConfig& config)
     DBN_REQUIRE(config.orientation == Orientation::Undirected,
                 "adaptive forwarding needs the undirected orientation");
     DBN_REQUIRE(config.adaptive_ttl >= 0, "adaptive_ttl must be >= 0");
-    adaptive_ttl_ = config.adaptive_ttl > 0
-                        ? config.adaptive_ttl
-                        : std::max(4 * static_cast<int>(config.k), 8);
     if (config.adaptive_scoring == AdaptiveScoring::LayerTable) {
       layers_ = std::make_unique<LayerTable>(graph_);
     }
+    adaptive_.ttl = adaptive_ttl(config.adaptive_ttl, config.k);
+    adaptive_.jitter = config.adaptive_jitter;
+    adaptive_.layers = layers_.get();
   }
   failed_.resize(graph_.vertex_count(), false);
 }
@@ -259,6 +259,7 @@ std::vector<std::uint64_t> Simulator::link_transmissions() const {
 }
 
 void Simulator::deliver(InFlight& flight) {
+  flight.view.reset();  // finished: the pinned table can go
   ++stats_.delivered;
   stats_.total_hops += flight.cursor;
   const double latency = now_ - flight.injected_at;
@@ -300,7 +301,8 @@ void Simulator::drop(std::size_t flight_index, DropReason reason,
       ++stats_.dropped_ttl;
       break;
   }
-  const InFlight& flight = flights_[flight_index];
+  InFlight& flight = flights_[flight_index];
+  flight.view.reset();  // finished: the pinned table can go
   if (obs::tracing_enabled()) {
     sim_event("drop", now_, at,
               {obs::targ("reason", drop_reason_name(reason)),
@@ -312,73 +314,6 @@ void Simulator::drop(std::size_t flight_index, DropReason reason,
     const Message dropped_message = flight.message;
     drop_hook_(dropped_message, now_, reason, at);
   }
-}
-
-std::optional<std::uint64_t> Simulator::adaptive_next(InFlight& flight,
-                                                      std::uint64_t at,
-                                                      bool& deflected) {
-  const Word& dest = flight.message.destination;
-  if (layers_ != nullptr && flight.view == nullptr) {
-    // Pin the destination's table once per message; every hop after this
-    // classifies neighbors with plain array reads.
-    flight.view = layers_->view(dest);
-  }
-  const LayerTable::View* view = flight.view.get();
-  const auto dist_to = [&](std::uint64_t r) {
-    return view != nullptr ? view->distance(r)
-                           : undirected_distance(graph_.word(r), dest);
-  };
-  // The decision rule of net/adaptive.hpp, verbatim: Closer first, Same as
-  // a jittered escape, nearest Farther layer as the deflection fallback.
-  const int here = dist_to(at);
-  std::vector<std::uint64_t> improving;
-  std::vector<std::uint64_t> sideways;
-  std::vector<std::uint64_t> backward;
-  int backward_best = 0;
-  for (const std::uint64_t r : graph_.neighbors(at)) {
-    if (failed_[r]) {
-      continue;
-    }
-    const int dist = dist_to(r);
-    if (dist < here) {
-      improving.push_back(r);
-    } else if (dist == here) {
-      sideways.push_back(r);
-    } else {
-      if (backward.empty() || dist < backward_best) {
-        backward_best = dist;
-        backward.clear();
-      }
-      if (dist == backward_best) {
-        backward.push_back(r);
-      }
-    }
-  }
-  const bool take_sideways =
-      improving.empty() ||
-      (!sideways.empty() && rng_.chance(config_.adaptive_jitter));
-  const std::vector<std::uint64_t>* pool =
-      take_sideways ? &sideways : &improving;
-  deflected = false;
-  if (pool->empty()) {
-    if (backward.empty()) {
-      return std::nullopt;  // stuck: every live neighbor is dead
-    }
-    if (backward.size() > 1) {
-      std::vector<std::uint64_t> away;
-      for (const std::uint64_t r : backward) {
-        if (r != flight.previous) {
-          away.push_back(r);
-        }
-      }
-      if (!away.empty()) {
-        backward = std::move(away);
-      }
-    }
-    pool = &backward;
-    deflected = true;
-  }
-  return (*pool)[rng_.below(pool->size())];
 }
 
 void Simulator::arrive(std::size_t flight_index) {
@@ -399,23 +334,29 @@ void Simulator::arrive(std::size_t flight_index) {
       deliver(flight);
       return;
     }
-    if (flight.cursor >= static_cast<std::size_t>(adaptive_ttl_)) {
+    if (flight.cursor >= static_cast<std::size_t>(adaptive_.ttl)) {
       drop(flight_index, DropReason::Ttl, at);
       return;
     }
-    bool deflected = false;
-    const std::optional<std::uint64_t> next =
-        adaptive_next(flight, at, deflected);
-    if (!next.has_value()) {
+    if (adaptive_.layers != nullptr && flight.view == nullptr) {
+      // Pin the destination's table once per message; every hop after this
+      // classifies neighbors with plain array reads.
+      flight.view = adaptive_.layers->view(flight.message.destination);
+    }
+    const std::optional<AdaptiveHop> hop =
+        adaptive_hop(graph_, failed_, at, flight.previous,
+                     flight.message.destination, flight.view.get(), adaptive_,
+                     rng_);
+    if (!hop.has_value()) {
       // A dead neighborhood is a fault outcome: the site is alive but
       // every exit is down.
       drop(flight_index, DropReason::Fault, at);
       return;
     }
-    to = *next;
+    to = hop->next;
     shift_label = "A";  // adaptive moves are not tied to one shift type
     flight.previous = at;
-    stats_.adaptive_deflections += deflected;
+    stats_.adaptive_deflections += hop->move == DistanceLayer::Farther;
   } else {
     Hop hop;
     if (config_.forwarding == ForwardingMode::SourceRouted) {

@@ -18,7 +18,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "common/rng.hpp"
 #include "core/layer_table.hpp"
 #include "debruijn/graph.hpp"
+#include "net/adaptive.hpp"
 #include "net/fault.hpp"
 #include "net/message.hpp"
 
@@ -44,7 +44,7 @@ enum class ForwardingMode {
   HopByHop,      // each site computes the greedy next hop from the distance
                  // function (core/hop_by_hop.hpp); the path field is unused
   Adaptive,      // deflection routing by distance layer (net/adaptive.hpp's
-                 // decision rule, in-network): Closer neighbors first,
+                 // adaptive_hop, in-network): Closer neighbors first,
                  // Same-layer sideways as an escape, Farther-layer
                  // deflection when faults kill everything else, TTL-bounded
 };
@@ -68,7 +68,7 @@ struct SimConfig {
   /// Adaptive forwarding only (ignored otherwise). Requires the undirected
   /// orientation (the layer trichotomy needs the graph metric).
   AdaptiveScoring adaptive_scoring = AdaptiveScoring::Rescore;
-  int adaptive_ttl = 0;          // 0 = max(4k, 8), as in net/adaptive.hpp
+  int adaptive_ttl = 0;          // 0 = max(4k, 8), as net::adaptive_ttl
   double adaptive_jitter = 0.0;  // sideways-move probability
   /// Record every (time, site) visit per message (traces() accessor);
   /// costs memory proportional to total hops.
@@ -211,7 +211,8 @@ class Simulator {
                                  // inject() resets it to the vertex-count
                                  // sentinel meaning "no previous site"
     /// Pinned destination layer table (Adaptive + LayerTable scoring only):
-    /// one cache interaction per message, O(1) reads per hop.
+    /// one cache interaction per message, O(1) reads per hop. Released
+    /// when the message is delivered or dropped.
     std::shared_ptr<const LayerTable::View> view;
   };
 
@@ -239,12 +240,6 @@ class Simulator {
   void drop(std::size_t flight_index, DropReason reason, std::uint64_t at);
   Digit resolve_wildcard(std::uint64_t at, ShiftType type, Rng& rng);
   std::uint64_t shift_target(std::uint64_t at, ShiftType type, Digit digit) const;
-  /// The adaptive next hop from `at`, or nullopt when the walk is stuck
-  /// (every candidate neighbor is dead). Consumes rng_ draws; sets
-  /// `deflected` when the move retreats a layer.
-  std::optional<std::uint64_t> adaptive_next(InFlight& flight,
-                                             std::uint64_t at,
-                                             bool& deflected);
   void schedule(double time, std::size_t flight_index);
 
   SimConfig config_;
@@ -257,7 +252,7 @@ class Simulator {
   FaultSchedule schedule_;
   std::size_t schedule_cursor_ = 0;
   std::unique_ptr<LayerTable> layers_;  // Adaptive + LayerTable scoring
-  int adaptive_ttl_ = 0;                // resolved (floor applied)
+  AdaptiveConfig adaptive_;             // resolved TTL, jitter, layers_.get()
   SimStats stats_;
   std::vector<Trace> traces_;
   Rng rng_;

@@ -1,6 +1,7 @@
 #include "net/traffic.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/contract.hpp"
@@ -21,8 +22,9 @@ void sort_by_time(std::vector<Injection>& schedule) {
 std::vector<Injection> uniform_traffic(std::uint32_t radix, std::size_t k,
                                        double rate_per_node, double duration,
                                        Rng& rng) {
-  DBN_REQUIRE(rate_per_node > 0.0 && duration > 0.0,
-              "uniform_traffic requires positive rate and duration");
+  DBN_REQUIRE(std::isfinite(rate_per_node) && rate_per_node > 0.0 &&
+                  std::isfinite(duration) && duration > 0.0,
+              "uniform_traffic requires a finite positive rate and duration");
   const std::uint64_t n = Word::vertex_count(radix, k);
   std::vector<Injection> schedule;
   for (std::uint64_t src = 0; src < n; ++src) {

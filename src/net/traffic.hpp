@@ -21,7 +21,8 @@ struct Injection {
 
 /// Poisson arrivals at each site with the given per-site rate over
 /// [0, duration); destinations uniform over all sites (self included —
-/// self-traffic delivers immediately and exercises the empty path).
+/// self-traffic delivers immediately and exercises the empty path). Both
+/// rate and duration must be finite and positive.
 std::vector<Injection> uniform_traffic(std::uint32_t radix, std::size_t k,
                                        double rate_per_node, double duration,
                                        Rng& rng);

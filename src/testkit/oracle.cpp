@@ -201,23 +201,14 @@ class RoutingTableOracle final : public RouteOracle {
 // a subtly worse deflection choice under saturation.
 class LayerTableOracle final : public RouteOracle {
  public:
-  explicit LayerTableOracle(const DeBruijnGraph& graph)
-      : name_(graph.orientation() == Orientation::Directed
-                  ? "layer-table-uni"
-                  : "layer-table-bi"),
-        table_(graph) {}
-  explicit LayerTableOracle(const KautzGraph& graph)
-      : name_("kautz-layer-table"), table_(graph), kautz_(&graph) {}
-  std::string_view name() const override { return name_; }
+  explicit LayerTableOracle(const DeBruijnGraph& graph) : table_(graph) {}
+  std::string_view name() const override { return "layer-table-bi"; }
   int distance(const Word& x, const Word& y) override {
-    return table_.view(y)->distance(kautz_ != nullptr ? kautz_->rank(x)
-                                                      : x.rank());
+    return table_.view(y)->distance(x.rank());
   }
 
  private:
-  std::string_view name_;
   LayerTable table_;
-  const KautzGraph* kautz_ = nullptr;  // non-null iff the Kautz family
 };
 
 // --- Kautz oracles --------------------------------------------------------
@@ -324,7 +315,8 @@ OracleSet OracleSet::debruijn(std::uint32_t d, std::size_t k,
   if (options.max_table_vertices > 0 && set.n_ <= options.max_table_vertices) {
     set.oracles_.push_back(std::make_unique<RoutingTableOracle>(*set.graph_));
   }
-  if (options.max_layer_vertices > 0 && set.n_ <= options.max_layer_vertices) {
+  if (orientation == Orientation::Undirected &&
+      options.max_layer_vertices > 0 && set.n_ <= options.max_layer_vertices) {
     set.oracles_.push_back(std::make_unique<LayerTableOracle>(*set.graph_));
   }
   return set;
@@ -339,9 +331,6 @@ OracleSet OracleSet::kautz(std::uint32_t d, std::size_t k,
   if (options.max_bfs_vertices > 0 && set.n_ <= options.max_bfs_vertices) {
     set.oracles_.push_back(std::make_unique<KautzBfsOracle>(*set.kautz_));
     set.has_bfs_reference_ = true;
-  }
-  if (options.max_layer_vertices > 0 && set.n_ <= options.max_layer_vertices) {
-    set.oracles_.push_back(std::make_unique<LayerTableOracle>(*set.kautz_));
   }
   return set;
 }

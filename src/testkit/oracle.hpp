@@ -60,9 +60,9 @@ struct OracleOptions {
   std::uint64_t max_table_vertices = 1u << 10;
   /// Greedy hop-by-hop walks (O(d k) per hop) — cheap, on by default.
   bool include_greedy = true;
-  /// Distance-only layer-table oracle (core/layer_table.hpp) included when
-  /// d^k <= this (one dense N-byte table per queried destination). 0
-  /// disables.
+  /// Distance-only layer-table oracle (core/layer_table.hpp) included in
+  /// undirected de Bruijn sets when d^k <= this (one dense N-byte table per
+  /// queried destination). 0 disables.
   std::uint64_t max_layer_vertices = 1u << 12;
   /// BatchRouteEngine oracles (single-query batches through the parallel
   /// engine, pool + cache included), so dbn_fuzz exercises the batch path.

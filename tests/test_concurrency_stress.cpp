@@ -13,7 +13,7 @@
 //   BatchRouteEngine  per-worker memos under parallel workers (counters
 //                     summed after the join), plus concurrent
 //                     independent engines.
-//   LayerTable        sharded view cache under colliding destination
+//   LayerTable        the one-lock view cache under colliding destination
 //                     traffic, pinned views read across evictions, and
 //                     adaptive walks sharing one table.
 //   RouteServer       concurrent client feeds racing the dispatcher, a
@@ -408,11 +408,10 @@ TEST(ConcurrencyStressBatch, IndependentEnginesShareGlobalMetricsSafely) {
 
 // --- LayerTable -------------------------------------------------------------
 
-TEST(ConcurrencyStressLayerTable, ShardedViewCacheUnderCollidingDestinations) {
+TEST(ConcurrencyStressLayerTable, ViewCacheUnderCollidingDestinations) {
   const DeBruijnGraph g(2, 8, Orientation::Undirected);
   LayerTableOptions options;
   options.cache_destinations = 8;  // tiny: builds, hits and evictions race
-  options.cache_shards = 2;
   LayerTable table(g, options);
 
   constexpr int kThreads = 4;

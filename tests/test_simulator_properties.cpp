@@ -143,6 +143,65 @@ TEST(SimulatorProperties, AdaptiveNeverBeatsTheBfsOracle) {
   }
 }
 
+TEST(SimulatorProperties, LoneAdaptiveMessageWalksLikeAdaptiveRoute) {
+  // The simulator's adaptive mode runs adaptive_route's rule in-network. A
+  // lone message meets no queue and is the only consumer of the
+  // simulator's RNG, so seeded like adaptive_route it must take the same
+  // walk under either scoring: same outcome, hop count and deflections.
+  Rng rng(7077);
+  const std::vector<std::pair<std::uint32_t, std::size_t>> grid = {
+      {2, 4}, {2, 6}, {3, 3}};
+  for (const auto& [d, k] : grid) {
+    const DeBruijnGraph g(d, k, Orientation::Undirected);
+    for (int trial = 0; trial < 60; ++trial) {
+      const std::size_t faults =
+          rng.below(std::min<std::uint64_t>(g.vertex_count() / 4, 9));
+      const auto failed = random_fault_set(g, faults, rng);
+      const std::uint64_t xr = rng.below(g.vertex_count());
+      const std::uint64_t yr = rng.below(g.vertex_count());
+      if (failed[xr] || failed[yr]) {
+        continue;
+      }
+      AdaptiveConfig config;
+      config.jitter = rng.chance(0.5) ? 0.3 : 0.0;
+      const std::uint64_t seed = rng();
+      Rng walk_rng(seed);
+      const AdaptiveResult walk =
+          adaptive_route(g, failed, g.word(xr), g.word(yr), walk_rng, config);
+      for (const AdaptiveScoring scoring :
+           {AdaptiveScoring::Rescore, AdaptiveScoring::LayerTable}) {
+        SimConfig sim_config;
+        sim_config.radix = d;
+        sim_config.k = k;
+        sim_config.forwarding = ForwardingMode::Adaptive;
+        sim_config.adaptive_scoring = scoring;
+        sim_config.adaptive_jitter = config.jitter;
+        sim_config.seed = seed;
+        Simulator sim(sim_config);
+        for (std::uint64_t v = 0; v < g.vertex_count(); ++v) {
+          if (failed[v]) {
+            sim.fail_node(v);
+          }
+        }
+        sim.inject(0.0, Message(ControlCode::Data, g.word(xr), g.word(yr),
+                                RoutingPath{}));
+        sim.run();
+        std::uint64_t hops = 0;
+        for (const std::uint64_t t : sim.link_transmissions()) {
+          hops += t;
+        }
+        const SimStats& st = sim.stats();
+        ASSERT_EQ(st.delivered == 1, walk.delivered)
+            << "d=" << d << " k=" << k << " " << xr << "->" << yr
+            << " jitter=" << config.jitter;
+        ASSERT_EQ(hops, static_cast<std::uint64_t>(walk.hops));
+        ASSERT_EQ(st.adaptive_deflections,
+                  static_cast<std::uint64_t>(walk.deflections));
+      }
+    }
+  }
+}
+
 TEST(SimulatorProperties, DeliveredLatenciesScaleWithLinkDelay) {
   // Doubling link_delay exactly doubles every uncongested latency.
   for (const double delay : {0.5, 1.0, 2.0}) {

@@ -90,8 +90,7 @@ TEST(OracleSets, DefaultPanelHoldsEachEngineOnce) {
   EXPECT_EQ(names(OracleSet::debruijn(2, 4, Orientation::Directed)),
             (std::vector<std::string_view>{"alg1-uni", "batch-alg1",
                                            "greedy-uni", "bfs-router",
-                                           "routing-table",
-                                           "layer-table-uni"}));
+                                           "routing-table"}));
 }
 
 TEST(OracleSets, LegalHopEnforcesTheMoveRule) {

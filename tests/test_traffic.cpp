@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "common/contract.hpp"
@@ -45,6 +46,10 @@ TEST(Traffic, UniformRejectsBadParameters) {
   Rng rng(3);
   EXPECT_THROW(uniform_traffic(2, 3, 0.0, 10.0, rng), ContractViolation);
   EXPECT_THROW(uniform_traffic(2, 3, 1.0, 0.0, rng), ContractViolation);
+  // Infinite values would schedule messages forever.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(uniform_traffic(2, 3, inf, 10.0, rng), ContractViolation);
+  EXPECT_THROW(uniform_traffic(2, 3, 1.0, inf, rng), ContractViolation);
 }
 
 TEST(Traffic, HotspotSkewsDestinations) {

@@ -301,10 +301,27 @@ int cmd_stats(std::uint32_t d, std::size_t k) {
 
 int cmd_simulate(std::uint32_t d, std::size_t k,
                  const std::vector<std::string_view>& args) {
-  const double rate =
-      std::atof(std::string(flag_value(args, "--rate").value_or("0.1")).c_str());
-  const double duration = std::atof(
-      std::string(flag_value(args, "--duration").value_or("100")).c_str());
+  // --rate and --duration parse whole and must be positive: an infinite
+  // rate would schedule messages forever.
+  const auto positive_flag = [&args](std::string_view name,
+                                     double fallback) -> std::optional<double> {
+    const auto v = flag_value(args, name);
+    if (!v) {
+      return fallback;
+    }
+    const auto parsed = parse_number<double>(*v);
+    if (!parsed || *parsed <= 0.0) {
+      std::cerr << "dbn simulate: bad value for " << name << ": '" << *v
+                << "'\n";
+      return std::nullopt;
+    }
+    return parsed;
+  };
+  const std::optional<double> rate = positive_flag("--rate", 0.1);
+  const std::optional<double> duration = positive_flag("--duration", 100.0);
+  if (!rate || !duration) {
+    return 1;
+  }
   const std::string policy =
       std::string(flag_value(args, "--policy").value_or("random"));
   net::SimConfig config;
@@ -331,7 +348,7 @@ int cmd_simulate(std::uint32_t d, std::size_t k,
   net::Simulator sim(config);
   Rng rng(42);
   for (const net::Injection& inj :
-       net::uniform_traffic(d, k, rate, duration, rng)) {
+       net::uniform_traffic(d, k, *rate, *duration, rng)) {
     const Word src = Word::from_rank(d, k, inj.source);
     const Word dst = Word::from_rank(d, k, inj.destination);
     sim.inject(inj.time,
