@@ -34,6 +34,12 @@ House rules (each one exists because the generic tooling cannot express it):
                       with no DBN_GUARDED_BY at all guards nothing the
                       analysis can see. Either annotate or justify inline.
 
+  tsa-exemption       DBN_NO_THREAD_SAFETY_ANALYSIS switches Clang's Thread
+                      Safety Analysis off for a whole function. Each use in
+                      src/ must justify inline why its unchecked accesses
+                      are safe. The macro's home, src/common/annotations.hpp,
+                      is exempt.
+
 Suppressing a finding requires an inline justification on the same line:
     ... // dbn-lint: allow(<rule>) <reason>
 
@@ -61,6 +67,7 @@ from pathlib import Path
 
 REPO_DIRS = ("src", "tools", "bench", "examples", "tests")
 SCHEMA_REGISTRY = Path("src") / "common" / "schema.hpp"
+ANNOTATIONS_HEADER = Path("src") / "common" / "annotations.hpp"
 
 # Rules -----------------------------------------------------------------------
 
@@ -86,10 +93,11 @@ STD_MUTEX_DECL_RE = re.compile(
 DBN_MUTEX_DECL_RE = re.compile(
     r"(?:(?<![A-Za-z0-9_:])Mutex|\bdbn\s*::\s*Mutex)\s+\w+\s*;"
 )
+TSA_EXEMPTION_RE = re.compile(r"\bDBN_NO_THREAD_SAFETY_ANALYSIS\b")
 
 KNOWN_RULES = frozenset({
     "naked-assert", "std-rand", "raw-new", "schema-literal",
-    "include-order", "mutex-needs-annotation",
+    "include-order", "mutex-needs-annotation", "tsa-exemption",
 })
 
 
@@ -219,6 +227,16 @@ class Linter:
                             "this file declares a Mutex but no state is "
                             "DBN_GUARDED_BY it; annotate the guarded fields "
                             "or justify inline",
+                        )
+            if top == "src" and rel != ANNOTATIONS_HEADER:
+                if TSA_EXEMPTION_RE.search(bare):
+                    fired.add("tsa-exemption")
+                    if "tsa-exemption" not in allowed:
+                        self.report(
+                            path, lineno, "tsa-exemption",
+                            "DBN_NO_THREAD_SAFETY_ANALYSIS turns the lock "
+                            "analysis off for the whole function; guard the "
+                            "state instead or justify inline",
                         )
 
             # Stale-suppression audit. include-order is checked in its own

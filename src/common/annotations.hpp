@@ -72,9 +72,8 @@
   DBN_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 
 /// Escape hatch: turns the analysis off for one function. Every use MUST
-/// carry an inline comment explaining why the unchecked access is safe
-/// (the intentional lock-free patterns: owner-thread shard cells,
-/// generation-published job fields, shared_ptr-pinned views). The rules
-/// for acceptable uses live in docs/static_analysis.md.
+/// explain why the unchecked access is safe, and dbn_lint's tsa-exemption
+/// rule requires a `dbn-lint: allow(tsa-exemption)` on the same line. The
+/// rules for acceptable uses live in docs/static_analysis.md.
 #define DBN_NO_THREAD_SAFETY_ANALYSIS \
   DBN_THREAD_ANNOTATION(no_thread_safety_analysis)

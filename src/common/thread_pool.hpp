@@ -84,7 +84,7 @@ class ThreadPool {
   // and the active_workers_ decrement, both under mutex_, so body_/total_/
   // chunk_size_ are frozen for its whole execution (the happens-before
   // rationale on the fields below).
-  void run_chunks(std::size_t worker_index) DBN_NO_THREAD_SAFETY_ANALYSIS;
+  void run_chunks(std::size_t worker_index) DBN_NO_THREAD_SAFETY_ANALYSIS;  // dbn-lint: allow(tsa-exemption) job fields are frozen while it runs (see above)
 
   std::vector<std::thread> workers_;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "common/contract.hpp"
 #include "common/schema.hpp"
@@ -13,8 +14,6 @@
 namespace dbn::obs {
 
 namespace {
-
-std::atomic<std::uint64_t> g_next_registry_id{1};
 
 /// Portable atomic fetch-add for doubles (std::atomic<double>::fetch_add is
 /// C++20 but spotty in older standard libraries).
@@ -63,22 +62,15 @@ double Summary::coefficient_of_variation() const {
 
 // --- handles ---------------------------------------------------------------
 
+// memory_order_relaxed throughout: every cell carries an independent tally,
+// not publication. snapshot() reads the cells relaxed too; exactness after
+// the updating threads are joined is what test_obs and the concurrency
+// stress suite verify.
+
 void Counter::inc(std::uint64_t n) {
-  if (registry_ == nullptr) {
-    return;
+  if (cell_ != nullptr) {
+    cell_->fetch_add(n, std::memory_order_relaxed);
   }
-  MetricsRegistry::Shard& shard = registry_->local_shard();
-  // Reading our own shard's size without the shard mutex is safe: only the
-  // owning thread ever grows its shard (ensure_cells), so the size cannot
-  // change under us.
-  if (shard.u64.size() <= u64_offset_) {
-    registry_->ensure_cells(shard);
-  }
-  // memory_order_relaxed: counter cells carry independent tallies, not
-  // publication. snapshot() reads them relaxed too and merges; exactness
-  // after the incrementing threads are joined is what test_obs and the
-  // concurrency stress suite verify.
-  shard.u64[u64_offset_].fetch_add(n, std::memory_order_relaxed);
 }
 
 void Gauge::set(std::int64_t value) {
@@ -94,98 +86,59 @@ void Gauge::add(std::int64_t delta) {
 }
 
 void Histogram::observe(double value) {
-  if (registry_ == nullptr) {
+  if (info_ == nullptr) {
     return;
   }
-  const auto& info = *static_cast<const MetricsRegistry::MetricInfo*>(info_);
-  MetricsRegistry::Shard& shard = registry_->local_shard();
-  if (shard.u64.size() < info.u64_offset + info.u64_cells ||
-      shard.f64.size() < info.f64_offset + info.f64_cells) {
-    registry_->ensure_cells(shard);
-  }
   // Upper-inclusive buckets: bucket i counts bounds[i-1] < v <= bounds[i];
-  // the last cell is the implicit overflow bucket (v > bounds.back()).
+  // the last bucket is the implicit overflow bucket (v > bounds.back()).
   const auto it =
-      std::lower_bound(info.bounds.begin(), info.bounds.end(), value);
+      std::lower_bound(info_->bounds.begin(), info_->bounds.end(), value);
   const std::size_t bucket =
-      static_cast<std::size_t>(it - info.bounds.begin());
-  shard.u64[info.u64_offset + bucket].fetch_add(1, std::memory_order_relaxed);
-  atomic_add(shard.f64[info.f64_offset], value);
+      static_cast<std::size_t>(it - info_->bounds.begin());
+  info_->buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  atomic_add(info_->sum, value);
 }
 
 // --- registry ---------------------------------------------------------------
 
-MetricsRegistry::MetricsRegistry()
-    : registry_id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)) {
-}
-
-MetricsRegistry::~MetricsRegistry() = default;
+MetricsRegistry::MetricInfo::MetricInfo(std::string_view metric_name,
+                                        MetricKind metric_kind,
+                                        std::vector<double> metric_bounds)
+    : name(metric_name),
+      kind(metric_kind),
+      bounds(std::move(metric_bounds)),
+      buckets(kind == MetricKind::Histogram ? bounds.size() + 1 : 0) {}
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;
 }
 
-const MetricsRegistry::MetricInfo& MetricsRegistry::register_metric(
+MetricsRegistry::MetricInfo& MetricsRegistry::register_metric(
     std::string_view name, MetricKind kind, std::vector<double> bounds) {
   DBN_REQUIRE(!name.empty(), "metric names must be non-empty");
   const MutexLock lock(mutex_);
   const auto it = by_name_.find(std::string(name));
   if (it != by_name_.end()) {
-    const MetricInfo& existing = metrics_[it->second];
+    MetricInfo& existing = metrics_[it->second];
     DBN_REQUIRE(existing.kind == kind,
                 "metric re-registered with a different kind");
     DBN_REQUIRE(kind != MetricKind::Histogram || existing.bounds == bounds,
                 "histogram re-registered with different bounds");
     return existing;
   }
-  MetricInfo info;
-  info.name = std::string(name);
-  info.kind = kind;
-  info.bounds = std::move(bounds);
-  info.u64_offset = u64_total_.load(std::memory_order_relaxed);
-  info.f64_offset = f64_total_.load(std::memory_order_relaxed);
-  switch (kind) {
-    case MetricKind::Counter:
-      info.u64_cells = 1;
-      break;
-    case MetricKind::Gauge:
-      info.gauge_index = static_cast<std::uint32_t>(gauges_.size());
-      gauges_.emplace_back(0);
-      break;
-    case MetricKind::Histogram:
-      info.u64_cells = static_cast<std::uint32_t>(info.bounds.size()) + 1;
-      info.f64_cells = 1;
-      break;
-  }
-  // memory_order_release, paired with the acquire loads in ensure_cells():
-  // a handle is published to other threads by the caller's own
-  // synchronization, but the cell *totals* travel through these atomics —
-  // the release/acquire pair guarantees ensure_cells sizes a shard for
-  // every metric registered before the handle it is servicing was created,
-  // so the handle's offset is always within the freshly grown shard.
-  u64_total_.store(info.u64_offset + info.u64_cells,
-                   std::memory_order_release);
-  f64_total_.store(info.f64_offset + info.f64_cells,
-                   std::memory_order_release);
-  metrics_.push_back(std::move(info));
+  metrics_.emplace_back(name, kind, std::move(bounds));
   const std::uint32_t id = static_cast<std::uint32_t>(metrics_.size()) - 1;
   by_name_.emplace(metrics_.back().name, id);
   return metrics_.back();
 }
 
 Counter MetricsRegistry::counter(std::string_view name) {
-  const MetricInfo& info = register_metric(name, MetricKind::Counter, {});
-  return Counter(this, info.u64_offset);
+  return Counter(&register_metric(name, MetricKind::Counter, {}).count);
 }
 
 Gauge MetricsRegistry::gauge(std::string_view name) {
-  const MetricInfo& info = register_metric(name, MetricKind::Gauge, {});
-  // Registration-time only: the returned handle keeps the cell's stable
-  // address and never touches gauges_ again, so re-taking the lock for
-  // the index costs nothing on any hot path.
-  const MutexLock lock(mutex_);
-  return Gauge(&gauges_[info.gauge_index]);
+  return Gauge(&register_metric(name, MetricKind::Gauge, {}).value);
 }
 
 Histogram MetricsRegistry::histogram(std::string_view name,
@@ -195,99 +148,37 @@ Histogram MetricsRegistry::histogram(std::string_view name,
                   std::adjacent_find(bounds.begin(), bounds.end()) ==
                       bounds.end(),
               "histogram bounds must be strictly increasing");
-  const MetricInfo& info =
-      register_metric(name, MetricKind::Histogram, std::move(bounds));
-  return Histogram(this, &info);
-}
-
-MetricsRegistry::Shard& MetricsRegistry::local_shard() {
-  struct ThreadShards {
-    std::uint64_t cached_id = 0;
-    Shard* cached = nullptr;
-    // Shards are shared with the registry so a shard outlives whichever of
-    // thread / registry dies first. Keyed by the registry's unique id, never
-    // its address, so a registry reallocated at the same address cannot pick
-    // up a stale shard.
-    std::unordered_map<std::uint64_t, std::shared_ptr<Shard>> by_registry;
-  };
-  thread_local ThreadShards tls;
-  if (tls.cached_id == registry_id_ && tls.cached != nullptr) {
-    return *tls.cached;
-  }
-  auto it = tls.by_registry.find(registry_id_);
-  if (it == tls.by_registry.end()) {
-    auto shard = std::make_shared<Shard>();
-    {
-      const MutexLock lock(mutex_);
-      shards_.push_back(shard);
-    }
-    it = tls.by_registry.emplace(registry_id_, std::move(shard)).first;
-  }
-  tls.cached_id = registry_id_;
-  tls.cached = it->second.get();
-  return *tls.cached;
-}
-
-void MetricsRegistry::ensure_cells(Shard& shard) const {
-  // Only the owning thread grows its shard; the lock orders growth against a
-  // concurrent snapshot()/reset() traversal. Deque growth never relocates
-  // existing cells, so lock-free fetch_adds on them stay valid throughout.
-  const MutexLock lock(shard.mutex);
-  const std::size_t u64_target = u64_total_.load(std::memory_order_acquire);
-  while (shard.u64.size() < u64_target) {
-    shard.u64.emplace_back(0);
-  }
-  const std::size_t f64_target = f64_total_.load(std::memory_order_acquire);
-  while (shard.f64.size() < f64_target) {
-    shard.f64.emplace_back(0.0);
-  }
+  return Histogram(
+      &register_metric(name, MetricKind::Histogram, std::move(bounds)));
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   const MutexLock lock(mutex_);
-  std::vector<std::uint64_t> u64(u64_total_.load(std::memory_order_relaxed),
-                                 0);
-  std::vector<double> f64(f64_total_.load(std::memory_order_relaxed), 0.0);
-  for (const auto& shard : shards_) {
-    const MutexLock shard_lock(shard->mutex);
-    // memory_order_relaxed cell reads: a snapshot taken while other threads
-    // increment is a valid cut (each cell individually atomic), not a
-    // linearizable cross-cell one — callers that need exact totals join
-    // their threads first. The shard mutex only orders growth, not counts.
-    const std::size_t nu = std::min(shard->u64.size(), u64.size());
-    for (std::size_t i = 0; i < nu; ++i) {
-      u64[i] += shard->u64[i].load(std::memory_order_relaxed);
-    }
-    const std::size_t nf = std::min(shard->f64.size(), f64.size());
-    for (std::size_t i = 0; i < nf; ++i) {
-      f64[i] += shard->f64[i].load(std::memory_order_relaxed);
-    }
-  }
-
   MetricsSnapshot out;
   out.entries.reserve(metrics_.size());
+  // A snapshot taken while other threads update is a valid cut per cell,
+  // not a linearizable cross-cell one; callers that need exact totals join
+  // their threads first.
   for (const MetricInfo& info : metrics_) {
     MetricSnapshot entry;
     entry.name = info.name;
     entry.kind = info.kind;
     switch (info.kind) {
       case MetricKind::Counter:
-        entry.count = u64[info.u64_offset];
+        entry.count = info.count.load(std::memory_order_relaxed);
         break;
       case MetricKind::Gauge:
-        entry.value =
-            gauges_[info.gauge_index].load(std::memory_order_relaxed);
+        entry.value = info.value.load(std::memory_order_relaxed);
         break;
-      case MetricKind::Histogram: {
+      case MetricKind::Histogram:
         entry.bounds = info.bounds;
-        entry.buckets.assign(u64.begin() + info.u64_offset,
-                             u64.begin() + info.u64_offset + info.u64_cells);
-        for (std::uint64_t b : entry.buckets) {
-          entry.count += b;
+        entry.buckets.reserve(info.buckets.size());
+        for (const auto& bucket : info.buckets) {
+          entry.buckets.push_back(bucket.load(std::memory_order_relaxed));
+          entry.count += entry.buckets.back();
         }
-        entry.sum = f64[info.f64_offset];
+        entry.sum = info.sum.load(std::memory_order_relaxed);
         break;
-      }
     }
     out.entries.push_back(std::move(entry));
   }
@@ -300,17 +191,13 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::reset() {
   const MutexLock lock(mutex_);
-  for (const auto& shard : shards_) {
-    const MutexLock shard_lock(shard->mutex);
-    for (auto& cell : shard->u64) {
-      cell.store(0, std::memory_order_relaxed);
+  for (MetricInfo& info : metrics_) {
+    info.count.store(0, std::memory_order_relaxed);
+    info.value.store(0, std::memory_order_relaxed);
+    for (auto& bucket : info.buckets) {
+      bucket.store(0, std::memory_order_relaxed);
     }
-    for (auto& cell : shard->f64) {
-      cell.store(0.0, std::memory_order_relaxed);
-    }
-  }
-  for (auto& gauge : gauges_) {
-    gauge.store(0, std::memory_order_relaxed);
+    info.sum.store(0.0, std::memory_order_relaxed);
   }
 }
 

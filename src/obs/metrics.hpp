@@ -2,22 +2,20 @@
 // every layer of the stack (schema "metrics/1").
 //
 // Design constraints, in order:
-//   1. The batch engine's workers increment counters from a parallel_for;
-//      they must never contend. Counter/histogram cells therefore live in
-//      lock-free thread-local shards (one per thread per registry) that a
-//      snapshot() merges. An increment is a relaxed atomic fetch_add on a
-//      cell the owning thread already created — no lock, no CAS loop, no
-//      false sharing with other threads' cells.
-//   2. Handles (Counter, Gauge, Histogram) are trivially copyable and
+//   1. Handles (Counter, Gauge, Histogram) are trivially copyable and
 //      cheap to stash in hot objects; a default-constructed handle is
 //      inert (operations are no-ops), which is how disabled-by-default
 //      instrumentation stays one branch.
-//   3. Snapshots are deterministic: entries sorted by name, doubles
+//   2. Snapshots are deterministic: entries sorted by name, doubles
 //      rendered with a fixed format, so two identical runs export
 //      byte-identical JSON.
 //
-// Gauges are registry-global (last set() wins) — merging per-thread
-// "current values" has no meaning. Histogram buckets are upper-inclusive:
+// Each metric owns one set of atomic cells inside the registry, and a
+// handle points straight at them: an update is a relaxed atomic on that
+// metric's cells, from any thread, with no lock. Threads that update the
+// same metric share its cells, so instrument per batch, simulation, table
+// view or served request, not per query inside a worker pool. A gauge
+// holds the last set() value. Histogram buckets are upper-inclusive:
 // bucket i counts values v with bounds[i-1] < v <= bounds[i]; one implicit
 // overflow bucket counts v > bounds.back().
 #pragma once
@@ -26,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -36,67 +33,13 @@
 
 namespace dbn::obs {
 
-class MetricsRegistry;
-
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
 
 const char* metric_kind_name(MetricKind kind);
 
-/// Monotone event count. Default-constructed handles are inert.
-///
-/// Handles carry the shard cell coordinates directly (not a metric id), so
-/// the hot path never indexes the registry's metric table — registration by
-/// other threads can therefore never race an increment.
-class Counter {
- public:
-  Counter() = default;
-  // DBN_NO_THREAD_SAFETY_ANALYSIS: the intentional lock-free hot path —
-  // inc() touches only the calling thread's own shard, whose cells never
-  // relocate and are only ever grown by that same thread (ensure_cells
-  // takes the shard lock to order growth against snapshot traversal).
-  void inc(std::uint64_t n = 1) DBN_NO_THREAD_SAFETY_ANALYSIS;
-  explicit operator bool() const { return registry_ != nullptr; }
-
- private:
-  friend class MetricsRegistry;
-  Counter(MetricsRegistry* registry, std::uint32_t u64_offset)
-      : registry_(registry), u64_offset_(u64_offset) {}
-  MetricsRegistry* registry_ = nullptr;
-  std::uint32_t u64_offset_ = 0;
-};
-
-/// Point-in-time value (thread count, queue depth). Not sharded: set()/add()
-/// hit one registry-global atomic whose address is stable for the registry's
-/// lifetime.
-class Gauge {
- public:
-  Gauge() = default;
-  void set(std::int64_t value);
-  void add(std::int64_t delta);
-  explicit operator bool() const { return cell_ != nullptr; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(std::atomic<std::int64_t>* cell) : cell_(cell) {}
-  std::atomic<std::int64_t>* cell_ = nullptr;
-};
-
-/// Fixed-bucket distribution (bounds chosen at registration).
-class Histogram {
- public:
-  Histogram() = default;
-  // DBN_NO_THREAD_SAFETY_ANALYSIS: same owner-thread shard-cell pattern
-  // as Counter::inc (see that comment).
-  void observe(double value) DBN_NO_THREAD_SAFETY_ANALYSIS;
-  explicit operator bool() const { return registry_ != nullptr; }
-
- private:
-  friend class MetricsRegistry;
-  Histogram(MetricsRegistry* registry, const void* info)
-      : registry_(registry), info_(info) {}
-  MetricsRegistry* registry_ = nullptr;
-  const void* info_ = nullptr;  // MetricsRegistry::MetricInfo (stable address)
-};
+class Counter;
+class Gauge;
+class Histogram;
 
 /// Streaming count/sum/sum-of-squares accumulator; the one place mean,
 /// variance and coefficient of variation are computed (net/load_stats and
@@ -118,7 +61,7 @@ struct Summary {
   double coefficient_of_variation() const;
 };
 
-/// One metric's merged state at snapshot time.
+/// One metric's state at snapshot time.
 struct MetricSnapshot {
   std::string name;
   MetricKind kind = MetricKind::Counter;
@@ -136,7 +79,7 @@ struct MetricSnapshot {
 /// so both formats stay byte-compatible per entry.
 void append_metric_json(const MetricSnapshot& entry, std::ostream& out);
 
-/// All metrics of one registry, merged across threads, sorted by name.
+/// All metrics of one registry, sorted by name.
 struct MetricsSnapshot {
   std::vector<MetricSnapshot> entries;
 
@@ -149,8 +92,7 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -165,56 +107,86 @@ class MetricsRegistry {
   /// `bounds` must be non-empty and strictly increasing.
   Histogram histogram(std::string_view name, std::vector<double> bounds);
 
-  /// Merges every thread's shard into one deterministic snapshot. Safe to
-  /// call concurrently with increments (relaxed reads).
+  /// Every metric's current value, sorted by name. Safe to call
+  /// concurrently with updates (relaxed reads).
   MetricsSnapshot snapshot() const;
 
-  /// Zeroes every cell and gauge; registrations survive.
+  /// Zeroes every cell; registrations survive.
   void reset();
 
   std::size_t metric_count() const;
 
  private:
-  friend class Counter;
-  friend class Gauge;
   friend class Histogram;
 
-  struct MetricInfo {
-    std::string name;
-    MetricKind kind = MetricKind::Counter;
-    std::uint32_t u64_offset = 0;  // first u64 cell in each shard
-    std::uint32_t u64_cells = 0;
-    std::uint32_t f64_offset = 0;  // first f64 cell in each shard
-    std::uint32_t f64_cells = 0;
-    std::uint32_t gauge_index = 0;
-    std::vector<double> bounds;
+  // One registered metric and its cells. Only the cells of its own kind
+  // are used; they are updated lock-free through handles and read or
+  // zeroed by snapshot()/reset() under mutex_. Cache-line aligned so the
+  // updates of one hot metric do not invalidate a neighbour's cells.
+  struct alignas(64) MetricInfo {
+    MetricInfo(std::string_view metric_name, MetricKind metric_kind,
+               std::vector<double> metric_bounds);
+
+    const std::string name;
+    const MetricKind kind;
+    const std::vector<double> bounds;     // histogram only
+    std::atomic<std::uint64_t> count{0};  // counter only
+    std::atomic<std::int64_t> value{0};   // gauge only
+    // Histogram only: bounds.size() + 1 buckets (the last one is the
+    // overflow bucket) and the sum of every observed value.
+    std::vector<std::atomic<std::uint64_t>> buckets;
+    std::atomic<double> sum{0.0};
   };
 
-  // Per-thread cell storage. Deques never relocate elements, so the owner
-  // can fetch_add without holding `mutex`; `mutex` only guards growth
-  // (owner) against traversal (snapshot/reset).
-  struct Shard {
-    Mutex mutex;
-    std::deque<std::atomic<std::uint64_t>> u64 DBN_GUARDED_BY(mutex);
-    std::deque<std::atomic<double>> f64 DBN_GUARDED_BY(mutex);
-  };
+  MetricInfo& register_metric(std::string_view name, MetricKind kind,
+                              std::vector<double> bounds);
 
-  Shard& local_shard();
-  void ensure_cells(Shard& shard) const;
-  const MetricInfo& register_metric(std::string_view name, MetricKind kind,
-                                    std::vector<double> bounds);
-
-  const std::uint64_t registry_id_;
   mutable Mutex mutex_;
-  // Deques: element addresses are stable across registration, so handles may
-  // keep pointers into them without holding mutex_.
+  // A deque never moves its elements, so handles keep pointers into it
+  // without holding mutex_.
   std::deque<MetricInfo> metrics_ DBN_GUARDED_BY(mutex_);
   std::unordered_map<std::string, std::uint32_t> by_name_
       DBN_GUARDED_BY(mutex_);
-  std::vector<std::shared_ptr<Shard>> shards_ DBN_GUARDED_BY(mutex_);
-  std::deque<std::atomic<std::int64_t>> gauges_ DBN_GUARDED_BY(mutex_);
-  std::atomic<std::uint32_t> u64_total_{0};
-  std::atomic<std::uint32_t> f64_total_{0};
+};
+
+/// Monotone event count. Default-constructed handles are inert.
+class Counter {
+ public:
+  Counter() = default;
+  void inc(std::uint64_t n = 1);
+  explicit operator bool() const { return cell_ != nullptr; }
+
+ private:
+  friend class MetricsRegistry;
+  explicit Counter(std::atomic<std::uint64_t>* cell) : cell_(cell) {}
+  std::atomic<std::uint64_t>* cell_ = nullptr;
+};
+
+/// Point-in-time value (thread count, queue depth).
+class Gauge {
+ public:
+  Gauge() = default;
+  void set(std::int64_t value);
+  void add(std::int64_t delta);
+  explicit operator bool() const { return cell_ != nullptr; }
+
+ private:
+  friend class MetricsRegistry;
+  explicit Gauge(std::atomic<std::int64_t>* cell) : cell_(cell) {}
+  std::atomic<std::int64_t>* cell_ = nullptr;
+};
+
+/// Fixed-bucket distribution (bounds chosen at registration).
+class Histogram {
+ public:
+  Histogram() = default;
+  void observe(double value);
+  explicit operator bool() const { return info_ != nullptr; }
+
+ private:
+  friend class MetricsRegistry;
+  explicit Histogram(MetricsRegistry::MetricInfo* info) : info_(info) {}
+  MetricsRegistry::MetricInfo* info_ = nullptr;
 };
 
 }  // namespace dbn::obs

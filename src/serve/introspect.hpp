@@ -54,8 +54,9 @@ class TraceSampler {
 };
 
 /// One slow request, stage breakdown in microseconds: total is
-/// admit->respond, queue_us the wait before the dispatcher popped it,
-/// route_us the engine's share of its micro-batch.
+/// admit->respond (up to the write of its response frame), queue_us the
+/// wait before the dispatcher popped it, route_us the engine's share of
+/// its micro-batch.
 struct SlowRecord {
   std::uint64_t id = 0;
   std::uint64_t conn = 0;

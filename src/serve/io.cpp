@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <istream>
@@ -86,6 +87,9 @@ struct TcpClient {
   // after reader.join() — the join is the happens-before edge, so no
   // mutex (and no annotation) is needed.
   bool clean = true;
+  // Set by the reader as it exits, so the acceptor can join it without
+  // blocking.
+  std::atomic<bool> finished{false};
 };
 
 void tcp_reader_main(TcpClient& client) {
@@ -120,6 +124,17 @@ void tcp_reader_main(TcpClient& client) {
   if (!client.conn->clean()) {
     client.clean = false;
   }
+  client.finished.store(true, std::memory_order_release);
+}
+
+// Joins the client's reader and releases its Connection and fd; returns
+// whether its stream ended frame-aligned. The sink is detached before the
+// fd is closed, so a late dispatcher send can never reach a recycled fd.
+bool release_client(TcpClient& client) {
+  client.reader.join();
+  client.conn->close();
+  ::close(client.fd);
+  return client.clean;
 }
 
 bool write_port_file(const std::string& path, std::uint16_t port) {
@@ -171,7 +186,19 @@ int serve_tcp(RouteServer& server, const TcpOptions& options,
     return 1;
   }
   std::vector<std::unique_ptr<TcpClient>> clients;
+  bool clean = true;
   while (!stop.load(std::memory_order_acquire)) {
+    // Reap clients whose reader has exited once no queued request still
+    // holds their Connection: churn leaves no fd, thread or Connection
+    // behind, and a half-closed peer still gets every answer.
+    std::erase_if(clients, [&clean](const std::unique_ptr<TcpClient>& c) {
+      if (!c->finished.load(std::memory_order_acquire) ||
+          c->conn.use_count() > 1) {
+        return false;
+      }
+      clean = release_client(*c) && clean;
+      return true;
+    });
     pollfd pfd{listen_fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, kPollMillis);
     if (ready < 0 && errno != EINTR) {
@@ -182,6 +209,9 @@ int serve_tcp(RouteServer& server, const TcpOptions& options,
     }
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
+      // poll keeps reporting the listener ready while accept fails (fd
+      // exhaustion): back off instead of spinning.
+      std::this_thread::sleep_for(std::chrono::milliseconds(kPollMillis));
       continue;
     }
     auto client = std::make_unique<TcpClient>();
@@ -211,15 +241,11 @@ int serve_tcp(RouteServer& server, const TcpOptions& options,
   ::close(listen_fd);
   server.begin_drain();
   server.wait_drained();
-  bool clean = true;
   for (const auto& client : clients) {
     ::shutdown(client->fd, SHUT_RDWR);
   }
   for (const auto& client : clients) {
-    client->reader.join();
-    client->conn->close();
-    ::close(client->fd);
-    clean = clean && client->clean;
+    clean = release_client(*client) && clean;
   }
   return clean ? 0 : 1;
 }

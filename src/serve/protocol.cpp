@@ -316,15 +316,22 @@ DecodedResponse decode_response(std::string_view payload) {
   return result;
 }
 
+void FrameReader::feed(std::string_view bytes) {
+  buffer_.erase(0, consumed_);
+  consumed_ = 0;
+  buffer_.append(bytes);
+}
+
 FrameReader::Result FrameReader::next(std::string& payload) {
   if (poisoned_) {
     return Result::Error;
   }
-  if (buffer_.size() < 4) {
+  const std::size_t available = buffer_.size() - consumed_;
+  if (available < 4) {
     return Result::NeedMore;
   }
-  const std::size_t length =
-      get_u32(reinterpret_cast<const unsigned char*>(buffer_.data()));
+  const std::size_t length = get_u32(
+      reinterpret_cast<const unsigned char*>(buffer_.data() + consumed_));
   // length == 0 is a framing error, not an empty request: every valid
   // payload starts with a 9-byte request header, so a zero-length frame
   // can only come from a desynchronized or malicious peer — treat it like
@@ -333,11 +340,11 @@ FrameReader::Result FrameReader::next(std::string& payload) {
     poisoned_ = true;
     return Result::Error;
   }
-  if (buffer_.size() < 4 + length) {
+  if (available < 4 + length) {
     return Result::NeedMore;
   }
-  payload.assign(buffer_, 4, length);
-  buffer_.erase(0, 4 + length);
+  payload.assign(buffer_, consumed_ + 4, length);
+  consumed_ += 4 + length;
   return Result::Frame;
 }
 

@@ -148,7 +148,9 @@ class FrameReader {
  public:
   enum class Result { NeedMore, Frame, Error };
 
-  void feed(std::string_view bytes) { buffer_.append(bytes); }
+  /// Appends `bytes`, first dropping the frames next() already returned,
+  /// so draining a feed of n frames moves each byte once, not n times.
+  void feed(std::string_view bytes);
 
   /// Extracts the next complete payload into `payload`.
   Result next(std::string& payload);
@@ -156,10 +158,11 @@ class FrameReader {
   bool poisoned() const { return poisoned_; }
   /// Bytes buffered but not yet consumed (a non-empty value at EOF means
   /// the peer truncated a frame mid-stream).
-  std::size_t pending_bytes() const { return buffer_.size(); }
+  std::size_t pending_bytes() const { return buffer_.size() - consumed_; }
 
  private:
   std::string buffer_;
+  std::size_t consumed_ = 0;  // prefix of buffer_ next() already returned
   bool poisoned_ = false;
 };
 

@@ -148,6 +148,9 @@ std::shared_ptr<Connection> RouteServer::connect(
       new Connection(this, id, std::move(sink)));  // dbn-lint: allow(raw-new) private ctor, immediately owned
   {
     const MutexLock lock(conns_mutex_);
+    std::erase_if(conns_, [](const std::weak_ptr<Connection>& weak) {
+      return weak.expired();
+    });
     conns_.push_back(conn);
   }
   metrics_connections_.inc();
@@ -421,7 +424,6 @@ void RouteServer::process_batch(std::vector<Pending>& batch,
   }
   // Answer in admission order; per-connection responses therefore arrive
   // in the order the requests were accepted.
-  const auto now = std::chrono::steady_clock::now();
   std::uint64_t n_ok = 0;
   std::uint64_t n_bad = 0;
   std::uint64_t n_slow = 0;
@@ -447,7 +449,10 @@ void RouteServer::process_batch(std::vector<Pending>& batch,
       pending.conn->send(frame);
       ++n_ok;
     }
-    const double waited_us = elapsed_us(pending.enqueued, now);
+    // Stamped after the frame went to the sink, so the latency covers
+    // encoding and the write (a client that stalls its socket shows here).
+    const double waited_us =
+        elapsed_us(pending.enqueued, std::chrono::steady_clock::now());
     metrics_latency_us_.observe(waited_us);
     if (slow_log_.note(SlowRecord{request.id, pending.conn->id(),
                                   request.type, waited_us,

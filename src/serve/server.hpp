@@ -261,7 +261,7 @@ class RouteServer {
   std::size_t inflight_ DBN_GUARDED_BY(mutex_) = 0;
 
   // Connection registry for the probe (weak: connections are owned by
-  // their transports and by queued requests).
+  // their transports and by queued requests; connect() drops the expired).
   mutable Mutex conns_mutex_;
   std::vector<std::weak_ptr<Connection>> conns_ DBN_GUARDED_BY(conns_mutex_);
   std::uint64_t next_conn_id_ DBN_GUARDED_BY(conns_mutex_) = 1;

@@ -4,9 +4,9 @@
 //   ThreadPool        chunk claiming under contention, exception
 //                     propagation from racing chunks, pool churn,
 //                     concurrent independent pools.
-//   MetricsRegistry   shard merge (snapshot/reset) racing counter,
-//                     histogram and gauge traffic from many threads, with
-//                     post-join exactness checks.
+//   MetricsRegistry   snapshot/reset racing counter, histogram and gauge
+//                     traffic from many threads, with post-join exactness
+//                     checks.
 //   TraceSink         enable/disable flips mid-route from a toggling
 //                     thread while worker threads route with tracing
 //                     branches active.
@@ -155,7 +155,7 @@ TEST(ConcurrencyStressThreadPool, IndependentPoolsRunConcurrently) {
 
 // --- MetricsRegistry --------------------------------------------------------
 
-TEST(ConcurrencyStressMetrics, ShardMergeRacesIncrementsThenCountsExactly) {
+TEST(ConcurrencyStressMetrics, SnapshotRacesIncrementsThenCountsExactly) {
   obs::MetricsRegistry registry;
   obs::Counter counter = registry.counter("stress.count");
   obs::Histogram histogram = registry.histogram("stress.hist", {1.0, 10.0, 100.0});
@@ -165,9 +165,9 @@ TEST(ConcurrencyStressMetrics, ShardMergeRacesIncrementsThenCountsExactly) {
   constexpr int kPerThread = 25000;
   std::atomic<bool> stop_snapshots{false};
 
-  // Snapshot continuously while increments are in flight: the merged view
+  // Snapshot continuously while increments are in flight: the snapshot
   // must be a valid cut (monotone counter, count/bucket consistency), and
-  // TSan must observe no race between merge traversal and shard growth.
+  // TSan must observe no race between snapshot reads and the updates.
   std::thread snapshotter([&] {
     std::uint64_t last = 0;
     while (!stop_snapshots.load(std::memory_order_acquire)) {
@@ -255,8 +255,8 @@ TEST(ConcurrencyStressMetrics, LateRegistrationRacesTrafficOnOldMetrics) {
       }
     });
   }
-  // Registering new metrics (and first-touch growing other threads' shards)
-  // must not race the in-flight increments on earlier offsets.
+  // Registering new metrics must not race the in-flight increments on
+  // earlier ones.
   std::vector<obs::Counter> extra;
   for (int i = 0; i < 200; ++i) {
     extra.push_back(registry.counter("late.extra." + std::to_string(i)));

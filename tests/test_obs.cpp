@@ -403,7 +403,7 @@ TEST(Trace, NoSinkFastPathDoesNotAllocate) {
   engine.route_into(x, y, WildcardMode::Concrete, path);  // warm buffers
   obs::MetricsRegistry registry;
   obs::Counter counter = registry.counter("warm");
-  counter.inc();  // warm this thread's shard
+  counter.inc();  // first use stays outside the window
   std::uint64_t after_route = 0, after_span = 0, after_counter = 0;
   {
     AllocationWindow window;

@@ -2,14 +2,25 @@
 // every malformed-frame class), RouteServer request handling against the
 // reference routers, bounded-queue backpressure, drain semantics, and a
 // seeded concurrent-client determinism check (same seed, same per-client
-// response bytes, run twice).
+// response bytes, run twice), and the TCP transport's reaping of clients
+// that disconnect.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +30,7 @@
 #include "core/path.hpp"
 #include "core/routers.hpp"
 #include "debruijn/word.hpp"
+#include "serve/io.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
@@ -592,6 +604,156 @@ TEST(ServeServer, SeededConcurrentClientsAreDeterministic) {
     EXPECT_EQ(first[c], second[c]) << "client " << c;
     EXPECT_FALSE(first[c].empty());
   }
+}
+
+// --- TCP transport ------------------------------------------------------------
+
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    static_cast<void>(entry);
+    ++count;
+  }
+  return count;
+}
+
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads from `fd` until one whole response frame arrives; nullopt on EOF,
+/// a bad frame or a 5 s timeout.
+std::optional<Response> read_response(int fd) {
+  FrameReader reader;
+  std::string payload;
+  char buffer[4096];
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) {
+      continue;
+    }
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) {
+      return std::nullopt;
+    }
+    reader.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+    if (reader.next(payload) == FrameReader::Result::Frame) {
+      const DecodedResponse decoded = decode_response(payload);
+      if (decoded.error != DecodeError::None) {
+        return std::nullopt;
+      }
+      return decoded.response;
+    }
+  }
+  return std::nullopt;
+}
+
+/// serve_tcp on its own thread; the destructor stops and joins it, so a
+/// failed assertion never leaves it running.
+struct TcpDaemon {
+  TcpDaemon(RouteServer& server, const TcpOptions& options)
+      : thread([this, &server, options] {
+          exit_code = serve_tcp(server, options, stop);
+        }) {}
+  ~TcpDaemon() { shutdown(); }
+  TcpDaemon(const TcpDaemon&) = delete;
+  TcpDaemon& operator=(const TcpDaemon&) = delete;
+
+  /// Stops the daemon and returns serve_tcp's exit status.
+  int shutdown() {
+    if (thread.joinable()) {
+      stop.store(true, std::memory_order_release);
+      thread.join();
+    }
+    return exit_code;
+  }
+
+  std::atomic<bool> stop{false};
+  int exit_code = -1;
+  std::thread thread;  // last: starts after the fields it writes exist
+};
+
+/// Polls the port file serve_tcp writes once it listens; 0 after 5 s.
+std::uint16_t wait_for_port(const std::string& path) {
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    std::ifstream in(path);
+    unsigned port = 0;
+    if (in >> port) {
+      return static_cast<std::uint16_t>(port);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return 0;
+}
+
+// Connect/close churn must not accumulate fds, reader threads or
+// Connections: serve_tcp reaps each client once its reader has exited.
+TEST(ServeTcp, ReapsClientsThatDisconnect) {
+  ServeConfig config;
+  config.d = 2;
+  config.k = 4;
+  RouteServer server(config);
+  TcpOptions options;
+  options.port_file = ::testing::TempDir() + "serve_tcp_reap_" +
+                      std::to_string(::getpid()) + ".port";
+  std::remove(options.port_file.c_str());
+  const std::size_t baseline = open_fd_count();
+  TcpDaemon daemon(server, options);
+  const std::uint16_t port = wait_for_port(options.port_file);
+  std::remove(options.port_file.c_str());
+  ASSERT_NE(port, 0);
+
+  std::string ping;
+  encode_control_request(RequestType::Ping, 1, ping);
+  for (int i = 0; i < 200; ++i) {
+    const int fd = connect_loopback(port);
+    ASSERT_GE(fd, 0) << "client " << i;
+    ASSERT_EQ(::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(ping.size()));
+    const std::optional<Response> pong = read_response(fd);
+    ::close(fd);
+    ASSERT_TRUE(pong.has_value()) << "client " << i;
+    ASSERT_EQ(pong->type, RequestType::Ping);
+  }
+
+  // A peer that half-closes still gets the answer to what it sent first.
+  const int fd = connect_loopback(port);
+  ASSERT_GE(fd, 0);
+  std::string route;
+  encode_route_request(7, make_word(2, "0110"), make_word(2, "1001"), route);
+  ASSERT_EQ(::send(fd, route.data(), route.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(route.size()));
+  ::shutdown(fd, SHUT_WR);
+  const std::optional<Response> answer = read_response(fd);
+  ::close(fd);
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(answer->id, 7u);
+  EXPECT_EQ(answer->status, Status::Ok);
+
+  // Only the listener stays open once every client is reaped.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (open_fd_count() > baseline + 4 ||
+          !server.introspect().connections.empty())) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LE(open_fd_count(), baseline + 4);
+  EXPECT_TRUE(server.introspect().connections.empty());
+  EXPECT_EQ(daemon.shutdown(), 0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -341,6 +342,31 @@ TEST(ServeIntrospect, ServerCapturesSlowRequestsAboveThreshold) {
     EXPECT_GE(r.total_us, r.queue_us);
     EXPECT_GT(r.batch_size, 0u);
   }
+}
+
+// The latency clock stops after the response frame went to the sink, so a
+// client whose socket stalls the write shows up in the slow log.
+TEST(ServeIntrospect, SlowLogLatencyCoversTheResponseWrite) {
+  ServeConfig config;
+  config.d = 2;
+  config.k = 10;
+  config.slow_us = 1000;
+  RouteServer server(config);
+  const std::shared_ptr<Connection> conn =
+      server.connect([](std::string_view) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      });
+  Rng rng(5);
+  std::string frame;
+  encode_route_request(1, random_word(rng, config.d, config.k),
+                       random_word(rng, config.d, config.k), frame);
+  ASSERT_TRUE(conn->feed(frame));
+  server.wait_drained();
+  const IntrospectSnapshot snap = server.introspect();
+  ASSERT_EQ(snap.slow.size(), 1u);
+  EXPECT_EQ(snap.slow[0].type, RequestType::Route);
+  EXPECT_GE(snap.slow[0].total_us, 3000.0);
+  conn->close();
 }
 
 }  // namespace
