@@ -24,7 +24,10 @@
 // BM_PackedKernel* isolate the word-parallel (SWAR) side-minimum kernel
 // from strings/packed.hpp against the scalar Algorithm 3 scan on the same
 // pairs — the per-query ablation behind the batch-level bidi-vs-alg1 gate
-// (scripts/bench_report.py --max-bidi-vs-alg1).
+// (scripts/bench_report.py --max-bidi-vs-alg1). BM_Engine/128 over
+// BM_Engine/64 is the derived engine_k128_vs_k64 row
+// (--max-engine-k128-vs-k64): past k = 64 the words leave the 128-bit lane
+// for a lane of 64-bit limbs, and the ratio shows they still get one.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -133,19 +136,29 @@ void BM_TracedRoute(benchmark::State& state) {
 BENCHMARK(BM_TracedRoute)->Arg(16);
 
 void BM_PackedKernelMinLCost(benchmark::State& state) {
+  // One l-side sweep on the lane the engine uses at this k: one 128-bit
+  // lane up to k = 64, four or eight 64-bit limbs past it.
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   Rng rng(k);
   const Word x = random_word(rng, 2, k);
   const Word y = random_word(rng, 2, k);
-  const strings::PackedBuf px = strings::pack_word(x.symbols(), 2);
-  const strings::PackedBuf py = strings::pack_word(y.symbols(), 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(strings::min_l_cost_packed(px, py));
+  if (strings::packable(2, k, strings::kLaneBits)) {
+    const strings::PackedBuf px = strings::pack_word(x.symbols(), 2);
+    const strings::PackedBuf py = strings::pack_word(y.symbols(), 2);
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(strings::min_l_cost_packed(px, py));
+    }
+  } else {
+    const strings::WideBuf px = strings::pack_wide(x.symbols(), 2);
+    const strings::WideBuf py = strings::pack_wide(y.symbols(), 2);
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(strings::min_l_cost_wide(px, py));
+    }
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_PackedKernelMinLCost)->Arg(10)->Arg(16)->Arg(32)->Arg(64)
-    ->Complexity();
+    ->Arg(128)->Arg(256)->Complexity();
 
 void BM_PackedKernelMinLCostScalar(benchmark::State& state) {
   // The scalar Algorithm 3 scan on the identical pairs — the denominator
@@ -160,7 +173,7 @@ void BM_PackedKernelMinLCostScalar(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_PackedKernelMinLCostScalar)->Arg(10)->Arg(16)->Arg(32)->Arg(64)
-    ->Complexity();
+    ->Arg(128)->Arg(256)->Complexity();
 
 void BM_PackedKernelPackAndSweep(benchmark::State& state) {
   // The full per-query packed cost as the engine pays it: two packs,

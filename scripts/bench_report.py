@@ -34,6 +34,11 @@ Two subcommands:
            --max-deflection-cost R fails when a layer-table decision costs
            more than R x the re-scoring decision (CI uses 0.2: the table
            must be at least 5x cheaper or it is not paying for its memory).
+           When bench_route_engine's BM_Engine/64 and BM_Engine/128 rows
+           are recorded, a derived engine_k128_vs_k64 ratio is appended and
+           --max-engine-k128-vs-k64 R fails when doubling the word from
+           one 128-bit lane to four 64-bit limbs costs more than R x (CI
+           uses 30: the O(k^2) scalar scan it replaced cost over 100x).
 
   compare  Check a fresh report against a committed baseline and fail
            (exit 1) when any comparable single-thread entry regressed by
@@ -257,6 +262,38 @@ def derive_deflection_cost(rows):
     return ratio
 
 
+def derive_engine_k128_vs_k64(rows):
+    """Appends the derived engine_k128_vs_k64 row; returns the ratio.
+
+    Compares two rows of bench_route_engine from the same run:
+      BM_Engine/64    DG(2,64): the words fill one 128-bit packed lane
+      BM_Engine/128   DG(2,128): the words fill a lane of four 64-bit limbs
+    The offset sweep does about four times the limb work at twice the
+    length, while the scalar Algorithm 3 scan the limb lane replaced cost
+    over 100x, so the ratio shows whether k=128 still takes a packed lane.
+    Returns None when either row is absent.
+    """
+    def find(suffix):
+        for row in rows:
+            if row["name"].endswith(suffix):
+                return row["best_ns_per_query"]
+        return None
+
+    k64 = find("/BM_Engine/64")
+    k128 = find("/BM_Engine/128")
+    if k64 is None or k128 is None:
+        return None
+    ratio = k128 / k64
+    rows.append({
+        "name": "derived/engine_k128_vs_k64",
+        "backend": "derived",
+        "threads": 1,
+        "best_ns_per_query": ratio,  # a ratio, not a timing
+        "note": "BM_Engine/128 / BM_Engine/64 (same run)",
+    })
+    return ratio
+
+
 # Numeric fields of a Google-Benchmark JSON row that are part of the
 # format itself; everything else numeric is a user counter (e.g. the
 # p99_us latency BM_ServeSteadyState reports) and rides along in the row.
@@ -330,6 +367,7 @@ def cmd_record(args):
     serve_overhead = derive_serve_overhead(report["results"])
     serve_obs_overhead = derive_serve_obs_overhead(report["results"])
     deflection_cost = derive_deflection_cost(report["results"])
+    engine_k128_vs_k64 = derive_engine_k128_vs_k64(report["results"])
     report["schema"] = SCHEMA
     report["generated_by"] = "scripts/bench_report.py"
     if metrics:
@@ -408,6 +446,19 @@ def cmd_record(args):
         print("bench_report: FAIL --max-deflection-cost set but the "
               "BM_DeflectionRescore/BM_LayerTableClassify pair was not "
               "recorded (add --gbench bench_saturation)")
+        return 1
+    if engine_k128_vs_k64 is not None:
+        print(f"bench_report: engine k=128 vs k=64 {engine_k128_vs_k64:.3f}x")
+        if args.max_engine_k128_vs_k64 > 0 and \
+                engine_k128_vs_k64 > args.max_engine_k128_vs_k64:
+            print(f"bench_report: FAIL BM_Engine/128 costs "
+                  f"{engine_k128_vs_k64:.3f}x BM_Engine/64 > allowed "
+                  f"{args.max_engine_k128_vs_k64:.2f}x")
+            return 1
+    elif args.max_engine_k128_vs_k64 > 0:
+        print("bench_report: FAIL --max-engine-k128-vs-k64 set but the "
+              "BM_Engine/64 + BM_Engine/128 pair was not recorded (add "
+              "--gbench bench_route_engine)")
         return 1
     return 0
 
@@ -501,6 +552,10 @@ def main():
                      help="fail when an O(1) layer-table deflection "
                           "decision costs more than this ratio of the O(k) "
                           "re-scoring decision (0 = no gate; CI uses 0.2)")
+    rec.add_argument("--max-engine-k128-vs-k64", type=float, default=0.0,
+                     help="fail when BM_Engine/128 costs more than this "
+                          "ratio of BM_Engine/64 in the same run (0 = no "
+                          "gate; CI uses 30)")
     rec.set_defaults(func=cmd_record)
 
     cmp_ = sub.add_parser("compare", help="gate a report against a baseline")

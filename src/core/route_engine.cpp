@@ -24,7 +24,7 @@ void BidirectionalRouteEngine::side_minima(const Word& x, const Word& y,
                                            strings::OverlapMin& r_side) {
   const std::uint32_t d = x.radix();
   const std::size_t k = x.length();
-  if (strings::packable(d, k)) {
+  if (strings::packable(d, k, strings::kLaneBits)) {
     // Two packs (the reversed lanes are O(log) cell reversals of the
     // forward ones) plus two pruned offset sweeps replace the two O(k^2)
     // Algorithm 3 scans. The r-side runs on the reversed words and maps
@@ -39,6 +39,20 @@ void BidirectionalRouteEngine::side_minima(const Word& x, const Word& y,
         strings::min_l_cost_packed_bounded(strings::reverse_cells(px),
                                            strings::reverse_cells(py),
                                            l_side.cost));
+    return;
+  }
+  if (strings::packable(d, k)) {
+    // Past one 128-bit lane: the same two sweeps on 64-bit limbs, with the
+    // reversed words packed backwards digit by digit.
+    const strings::SymbolView xs = x.symbols();
+    const strings::SymbolView ys = y.symbols();
+    l_side = strings::min_l_cost_wide(strings::pack_wide(xs, d),
+                                      strings::pack_wide(ys, d));
+    r_side = r_side_from_reversed(
+        static_cast<int>(k),
+        strings::min_l_cost_wide(strings::pack_wide(xs, d, true),
+                                 strings::pack_wide(ys, d, true),
+                                 l_side.cost));
     return;
   }
   x_.assign(x.symbols().begin(), x.symbols().end());

@@ -7,12 +7,13 @@
 // Two mechanical transformations live here. First, every buffer is
 // hoisted into a reusable object so route() performs no heap allocation
 // once warmed up (beyond growing the returned path in place). Second,
-// whenever the endpoints fit a 128-bit packed lane (strings/packed.hpp:
-// d <= 4 up to k = 64, d <= 16 up to k = 32 — every network the paper's
-// figures discuss), the Theorem 2 side minima are computed by the
-// word-parallel offset sweep instead of the per-symbol Algorithm 3 scan.
-// Larger alphabets and diameters run that scan in place over the reused
-// buffers, so neither kernel allocates once warmed. One engine per
+// whenever the endpoints fit a packed lane (strings/packed.hpp), the
+// Theorem 2 side minima are computed by the word-parallel offset sweep
+// instead of the per-symbol Algorithm 3 scan: one 128-bit lane for d <= 4
+// up to k = 64 and d <= 16 up to k = 32 (every network the paper's figures
+// discuss), a lane of 64-bit limbs for d <= 4 up to k = 256 and d <= 16 up
+// to k = 128. Only d > 16 and longer words run that scan, in place over
+// the reused buffers, so no kernel allocates once warmed. One engine per
 // thread. The ablation benchmark (bench_route_engine) measures the gain;
 // the packed-vs-scalar differential battery pins the equivalence.
 #pragma once
@@ -46,7 +47,8 @@ class BidirectionalRouteEngine {
 
  private:
   /// Side minima for both orientations: the packed sweep when (d, k) fits
-  /// the lane, the in-place Algorithm 3 scan otherwise.
+  /// a lane (128-bit, else 64-bit limbs), the in-place Algorithm 3 scan
+  /// otherwise.
   void side_minima(const Word& x, const Word& y, strings::OverlapMin& l_side,
                    strings::OverlapMin& r_side);
 

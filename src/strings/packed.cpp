@@ -1,6 +1,7 @@
 #include "strings/packed.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/contract.hpp"
@@ -18,18 +19,95 @@ constexpr __uint128_t splat(std::uint64_t half) {
 constexpr __uint128_t kLsb2 = splat(0x5555555555555555ull);
 constexpr __uint128_t kLsb4 = splat(0x1111111111111111ull);
 
-constexpr std::uint32_t kLaneBits = 128;
-
 // The kernels below are templated on the lane type: a 128-bit lane covers
-// every packable word, but when the word fits 64 bits (e.g. the whole of
+// every PackedBuf word, but when the word fits 64 bits (e.g. the whole of
 // DG(2, k <= 32)) every shift/XOR/mask in the sweep is a single-register
 // op instead of a carried pair, which roughly halves the kernel cost on
 // the words the routing benchmarks actually use. Dispatch is one
-// comparison per call (width * size <= 64).
+// comparison per call (width * size <= 64). Past 128 bits the side sweep
+// runs on Limbs, a fixed array of 64-bit limbs.
+
+// A lane of N 64-bit limbs, limb 0 lowest. It supplies exactly the
+// operations the sweep uses — bitwise logic, a right shift that carries
+// bits down across limbs, a zero test and a trailing-zero count — so the
+// sweep instantiates on it unchanged. Every limb index is a compile-time
+// constant, which lets the compiler keep the lane in registers: the
+// pragmas unroll each limb loop fully (without them the k = 128 sweep ran
+// about 2x slower).
+template <std::size_t N>
+struct Limbs {
+  std::array<std::uint64_t, N> l{};
+
+  friend Limbs operator^(Limbs a, const Limbs& b) {
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < N; ++i) {
+      a.l[i] ^= b.l[i];
+    }
+    return a;
+  }
+  friend Limbs operator&(Limbs a, const Limbs& b) {
+    a &= b;
+    return a;
+  }
+  friend Limbs operator~(Limbs a) {
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < N; ++i) {
+      a.l[i] = ~a.l[i];
+    }
+    return a;
+  }
+  Limbs& operator|=(const Limbs& b) {
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < N; ++i) {
+      l[i] |= b.l[i];
+    }
+    return *this;
+  }
+  Limbs& operator&=(const Limbs& b) {
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < N; ++i) {
+      l[i] &= b.l[i];
+    }
+    return *this;
+  }
+
+  // Shift right by s < 64 * N bits: move whole limbs down by s / 64, one
+  // power-of-two step per set bit, then funnel-shift by r = s % 64, each
+  // limb taking its carry from the limb above. The carry is shifted in two
+  // steps so no shift count reaches 64, which also makes it vanish at
+  // r = 0.
+  friend Limbs operator>>(Limbs a, std::uint32_t s) {
+#pragma GCC unroll 4
+    for (std::size_t step = 1; step < N; step *= 2) {
+      if (((s / 64) & step) != 0) {
+#pragma GCC unroll 8
+        for (std::size_t i = 0; i < N; ++i) {
+          a.l[i] = i + step < N ? a.l[i + step] : 0;
+        }
+      }
+    }
+    const std::uint32_t r = s % 64;
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i + 1 < N; ++i) {
+      a.l[i] = (a.l[i] >> r) | ((a.l[i + 1] << 1) << (63 - r));
+    }
+    a.l[N - 1] >>= r;
+    return a;
+  }
+};
+
+template <typename Lane>
+constexpr bool kIsLimbs = false;
+template <std::size_t N>
+constexpr bool kIsLimbs<Limbs<N>> = true;
 
 template <typename Lane>
 constexpr Lane lane_splat(std::uint64_t half) {
-  if constexpr (sizeof(Lane) == 8) {
+  if constexpr (kIsLimbs<Lane>) {
+    Lane out;
+    out.l.fill(half);
+    return out;
+  } else if constexpr (sizeof(Lane) == 8) {
     return half;
   } else {
     return (static_cast<Lane>(half) << 64) | half;
@@ -39,19 +117,58 @@ constexpr Lane lane_splat(std::uint64_t half) {
 // The low `bits` bits set (bits <= bit width of Lane).
 template <typename Lane>
 Lane low_mask_t(std::uint32_t bits) {
-  if (bits >= sizeof(Lane) * 8) {
-    return ~static_cast<Lane>(0);
+  if constexpr (kIsLimbs<Lane>) {
+    Lane out;
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < out.l.size(); ++i) {
+      const auto lo = static_cast<std::uint32_t>(64 * i);
+      if (bits >= lo + 64) {
+        out.l[i] = ~std::uint64_t{0};
+      } else if (bits > lo) {
+        out.l[i] = (std::uint64_t{1} << (bits - lo)) - 1;
+      }
+    }
+    return out;
+  } else {
+    if (bits >= sizeof(Lane) * 8) {
+      return ~static_cast<Lane>(0);
+    }
+    return (static_cast<Lane>(1) << bits) - 1;
   }
-  return (static_cast<Lane>(1) << bits) - 1;
 }
 
 __uint128_t low_mask(std::uint32_t bits) {
   return low_mask_t<__uint128_t>(bits);
 }
 
+// Whether any bit of the lane is set.
+template <typename Lane>
+bool lane_any(const Lane& v) {
+  if constexpr (kIsLimbs<Lane>) {
+    std::uint64_t any = 0;
+#pragma GCC unroll 8
+    for (const std::uint64_t limb : v.l) {
+      any |= limb;
+    }
+    return any != 0;
+  } else {
+    return v != 0;
+  }
+}
+
+// Index of the lowest set bit; v must be non-zero.
 template <typename Lane>
 int lane_ctz(Lane v) {
-  if constexpr (sizeof(Lane) == 8) {
+  if constexpr (kIsLimbs<Lane>) {
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i + 1 < v.l.size(); ++i) {
+      if (v.l[i] != 0) {
+        return static_cast<int>(64 * i) + std::countr_zero(v.l[i]);
+      }
+    }
+    return static_cast<int>(64 * (v.l.size() - 1)) +
+           std::countr_zero(v.l.back());
+  } else if constexpr (sizeof(Lane) == 8) {
     return std::countr_zero(v);
   } else {
     const auto lo = static_cast<std::uint64_t>(v);
@@ -100,7 +217,7 @@ struct Run {
 template <typename Lane>
 Run longest_run_t(Lane m, std::uint32_t width) {
   Run run;
-  while (m != 0) {
+  while (lane_any(m)) {
     run.start = lane_ctz(m) / static_cast<int>(width);
     ++run.length;
     m &= m >> width;
@@ -174,6 +291,49 @@ OverlapMin side_sweep(const Lane xbits, const Lane ybits, const int k,
   return best;
 }
 
+// The low N limbs of a wide word as a sweep lane.
+template <std::size_t N>
+Limbs<N> low_limbs(const WideBuf& w) {
+  Limbs<N> out;
+  std::copy_n(w.limbs.begin(), N, out.l.begin());
+  return out;
+}
+
+// Digit in cell i of a packed word.
+std::uint32_t cell(const PackedBuf& p, int i) {
+  return p.get(static_cast<std::size_t>(i));
+}
+std::uint32_t cell(const WideBuf& w, int i) {
+  const std::size_t bit = static_cast<std::size_t>(i) * w.width;
+  return static_cast<std::uint32_t>(w.limbs[bit / 64] >> (bit % 64)) &
+         ((1u << w.width) - 1);
+}
+
+// The witness contract every l-side kernel shares with the scalar ones:
+// (s, t, theta) in range, reproducing the cost, and (audit level) naming a
+// block that really matches.
+template <typename Buf>
+void ensure_witness(const OverlapMin& best, const Buf& x, const Buf& y) {
+  const int k = static_cast<int>(x.size);
+  DBN_ASSERT(best.cost <= k, "l-side minimum must not exceed the diameter");
+  DBN_ENSURE(best.s >= 1 && best.s <= k && best.t >= 1 && best.t <= k &&
+                 best.theta >= 0 && best.theta <= best.t &&
+                 best.theta <= k - best.s + 1,
+             "packed l-side witness (s, t, theta) out of range");
+  DBN_ENSURE(best.cost == 2 * k - 1 + best.s - best.t - best.theta,
+             "packed l-side witness does not reproduce its cost");
+  DBN_AUDIT(
+      [&] {
+        for (int m = 0; m < best.theta; ++m) {
+          if (cell(x, best.s - 1 + m) != cell(y, best.t - best.theta + m)) {
+            return false;
+          }
+        }
+        return true;
+      }(),
+      "packed l-side witness block does not match");
+}
+
 std::uint64_t byteswap64(std::uint64_t v) { return __builtin_bswap64(v); }
 
 void check_pair(const PackedBuf& x, const PackedBuf& y) {
@@ -207,13 +367,14 @@ std::uint32_t packed_width(std::uint64_t alphabet) {
   return 0;
 }
 
-bool packable(std::uint64_t alphabet, std::size_t size) {
+bool packable(std::uint64_t alphabet, std::size_t size,
+              std::uint32_t lane_bits) {
   const std::uint32_t width = packed_width(alphabet);
-  return width != 0 && width * size <= kLaneBits;
+  return width != 0 && width * size <= lane_bits;
 }
 
 PackedBuf pack_word(SymbolView word, std::uint64_t alphabet) {
-  DBN_REQUIRE(packable(alphabet, word.size()),
+  DBN_REQUIRE(packable(alphabet, word.size(), kLaneBits),
               "pack_word requires a packable (alphabet, length)");
   PackedBuf out;
   out.width = packed_width(alphabet);
@@ -237,7 +398,7 @@ PackedBuf pack_word(SymbolView word, std::uint64_t alphabet) {
 }
 
 PackedBuf pack_reversed(SymbolView word, std::uint64_t alphabet) {
-  DBN_REQUIRE(packable(alphabet, word.size()),
+  DBN_REQUIRE(packable(alphabet, word.size(), kLaneBits),
               "pack_reversed requires a packable (alphabet, length)");
   PackedBuf out;
   out.width = packed_width(alphabet);
@@ -348,25 +509,39 @@ OverlapMin min_l_cost_packed_bounded(const PackedBuf& x, const PackedBuf& y,
           ? side_sweep(static_cast<std::uint64_t>(x.bits),
                        static_cast<std::uint64_t>(y.bits), k, width, bound)
           : side_sweep(x.bits, y.bits, k, width, bound);
-  DBN_ASSERT(best.cost <= k, "l-side minimum must not exceed the diameter");
-  // Same witness contract as the scalar kernels (range, cost identity).
-  DBN_ENSURE(best.s >= 1 && best.s <= k && best.t >= 1 && best.t <= k &&
-                 best.theta >= 0 && best.theta <= best.t &&
-                 best.theta <= k - best.s + 1,
-             "packed l-side witness (s, t, theta) out of range");
-  DBN_ENSURE(best.cost == 2 * k - 1 + best.s - best.t - best.theta,
-             "packed l-side witness does not reproduce its cost");
-  DBN_AUDIT(
-      [&] {
-        for (int m = 0; m < best.theta; ++m) {
-          if (x.get(static_cast<std::size_t>(best.s - 1 + m)) !=
-              y.get(static_cast<std::size_t>(best.t - best.theta + m))) {
-            return false;
-          }
-        }
-        return true;
-      }(),
-      "packed l-side witness block does not match");
+  ensure_witness(best, x, y);
+  return best;
+}
+
+WideBuf pack_wide(SymbolView word, std::uint64_t alphabet, bool reversed) {
+  DBN_REQUIRE(packable(alphabet, word.size()),
+              "pack_wide requires a packable (alphabet, length)");
+  WideBuf out;
+  out.width = packed_width(alphabet);
+  out.size = static_cast<std::uint32_t>(word.size());
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    const Symbol digit = reversed ? word[word.size() - 1 - i] : word[i];
+    DBN_REQUIRE(digit < alphabet, "pack_wide digit exceeds the alphabet");
+    const std::size_t bit = i * out.width;
+    out.limbs[bit / 64] |= static_cast<std::uint64_t>(digit) << (bit % 64);
+  }
+  return out;
+}
+
+OverlapMin min_l_cost_wide(const WideBuf& x, const WideBuf& y, int bound) {
+  DBN_REQUIRE(x.width == y.width && (x.width == 2 || x.width == 4),
+              "packed kernels need two buffers of one common width");
+  DBN_REQUIRE(x.size >= 1 && x.size == y.size &&
+                  x.size * x.width <= kWideLaneBits,
+              "min_l_cost_wide requires two non-empty words of equal "
+              "length that fit the lane");
+  const int k = static_cast<int>(x.size);
+  const std::uint32_t width = x.width;
+  const OverlapMin best =
+      x.size * width <= 256
+          ? side_sweep(low_limbs<4>(x), low_limbs<4>(y), k, width, bound)
+          : side_sweep(low_limbs<8>(x), low_limbs<8>(y), k, width, bound);
+  ensure_witness(best, x, y);
   return best;
 }
 

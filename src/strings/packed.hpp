@@ -5,23 +5,26 @@
 // 128-bit lane. Digit cell i occupies bits [i*width, (i+1)*width), with
 // cell 0 (the paper's x_1) in the least significant bits. The cell width
 // is 2 bits for alphabets up to 4 and 4 bits for alphabets up to 16, so a
-// word packs iff width * length <= 128 — which covers every de Bruijn
-// vertex with d <= 4, k <= 64 and d <= 16, k <= 32. Larger alphabets or
-// longer words fall back to the scalar Morris–Pratt kernels (the callers
-// in failure.cpp / route_engine.cpp dispatch on try_pack).
+// word fits one lane iff width * length <= 128 — every de Bruijn vertex
+// with d <= 4, k <= 64 and d <= 16, k <= 32. A WideBuf lays the same
+// cells over 64-bit limbs, up to 512 bits (d <= 4 up to k = 256, d <= 16
+// up to k = 128); only the Theorem 2 side sweep runs on it. Larger
+// alphabets or longer words fall back to the scalar kernels (the callers
+// in failure.cpp / route_engine.cpp dispatch on try_pack / packable).
 //
 // The kernels all reduce to one primitive: a per-cell equality mask
 // between two buffers at a digit offset, computed branch-free by XOR,
 // OR-folding each cell onto its low bit and masking. A run of equal cells
 // is then measured by the classic mask-and-shift fold
 //     while (m) { m &= m >> width; ++len; }
-// which takes max-run iterations of O(1) 128-bit ops instead of a
+// which takes max-run iterations of O(1) lane ops instead of a
 // per-symbol automaton walk. Every kernel here has a scalar reference in
 // strings/naive.hpp or strings/matching.hpp; the packed-vs-scalar
 // differential battery (tests/test_packed_kernels.cpp, test_kernel_fuzz)
 // pins the equivalence.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -30,6 +33,10 @@
 #include "strings/symbol.hpp"
 
 namespace dbn::strings {
+
+/// Bits in one PackedBuf lane, and in the widest (multi-limb) lane.
+inline constexpr std::uint32_t kLaneBits = 128;
+inline constexpr std::uint32_t kWideLaneBits = 512;
 
 /// One packed word: digits in a single 128-bit lane, low cells first.
 /// Invariant: every bit above cell size-1 is zero, and every cell value is
@@ -52,11 +59,14 @@ struct PackedBuf {
 /// alphabet does not pack (> 16).
 std::uint32_t packed_width(std::uint64_t alphabet);
 
-/// Whether a word of `size` digits over [0, alphabet) fits one lane.
-bool packable(std::uint64_t alphabet, std::size_t size);
+/// Whether a word of `size` digits over [0, alphabet) packs into
+/// `lane_bits` bits: by default the widest lane (a WideBuf), with
+/// kLaneBits one PackedBuf.
+bool packable(std::uint64_t alphabet, std::size_t size,
+              std::uint32_t lane_bits = kWideLaneBits);
 
 /// Packs `word` (digits < alphabet) at the width packed_width(alphabet).
-/// Requires packable(alphabet, word.size()).
+/// Requires packable(alphabet, word.size(), kLaneBits).
 PackedBuf pack_word(SymbolView word, std::uint64_t alphabet);
 
 /// Packs the reversal of `word` — the r-side reduction runs the l-side
@@ -113,6 +123,27 @@ inline constexpr int kNoSweepBound = 1 << 30;
 /// min(bound, result) needs.
 OverlapMin min_l_cost_packed_bounded(const PackedBuf& x, const PackedBuf& y,
                                      int bound);
+
+/// One packed word of up to kWideLaneBits bits: PackedBuf's cell layout
+/// and invariant laid over 64-bit limbs, limb 0 lowest. A cell never
+/// straddles two limbs (both widths divide 64).
+struct WideBuf {
+  std::array<std::uint64_t, kWideLaneBits / 64> limbs{};
+  std::uint32_t width = 0;  // bits per digit cell: 2 or 4
+  std::uint32_t size = 0;   // number of digit cells
+};
+
+/// Packs `word` — or its reversal, for the r-side reduction — into a
+/// WideBuf. Requires packable(alphabet, word.size()).
+WideBuf pack_wide(SymbolView word, std::uint64_t alphabet,
+                  bool reversed = false);
+
+/// min_l_cost_packed_bounded for a WideBuf pair: the same offset sweep,
+/// pruning bounds and witness contract, run on a lane of 4 limbs when the
+/// words fit 256 bits and of 8 limbs otherwise. Requires equal widths and
+/// sizes, size >= 1.
+OverlapMin min_l_cost_wide(const WideBuf& x, const WideBuf& y,
+                           int bound = kNoSweepBound);
 
 /// Longest common substring length — packed counterpart of
 /// naive::longest_common_substring / the suffix-tree search: the best run

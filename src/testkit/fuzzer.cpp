@@ -22,9 +22,9 @@ struct FuzzPoint {
 
 // The schedule mixes the exhaustively BFS-checkable region, degenerate
 // parameters (d=1, k=1), the large-k formula-only region (agreement
-// between the O(k), O(k^2) and greedy engines, no BFS) and the Kautz
-// sibling family. Larger-radix points keep digits within the corpus
-// alphabet (<= 36).
+// between the O(k), O(k^2) and greedy engines, no BFS; past 2^64
+// vertices no greedy either) and the Kautz sibling family. Larger-radix
+// points keep digits within the corpus alphabet (<= 36).
 std::vector<FuzzPoint> fuzz_schedule() {
   std::vector<FuzzPoint> points;
   for (const auto orientation :
@@ -51,6 +51,14 @@ std::vector<FuzzPoint> fuzz_schedule() {
     points.push_back({orientation, 2, 33});
     points.push_back({orientation, 3, 12});
     points.push_back({orientation, 10, 7});
+    // d > 16 keeps the engine's in-place Algorithm 3 scan fuzzed.
+    points.push_back({orientation, 20, 6});
+    // Past 2^64 vertices (formula oracles only): words on the 4- and
+    // 8-limb lanes, across limb boundaries.
+    points.push_back({orientation, 2, 65});
+    points.push_back({orientation, 2, 130});
+    points.push_back({orientation, 4, 100});
+    points.push_back({orientation, 16, 40});
   }
   points.push_back({NetworkFamily::Kautz, 1, 3});
   points.push_back({NetworkFamily::Kautz, 2, 2});

@@ -1,6 +1,7 @@
 #include "testkit/oracle.hpp"
 
 #include <deque>
+#include <limits>
 #include <utility>
 
 #include "common/contract.hpp"
@@ -28,6 +29,18 @@ RoutingPath walk_to_path(const DeBruijnGraph& graph,
     path.push(classify_edge(graph, walk[i].rank(), walk[i + 1].rank()));
   }
   return path;
+}
+
+// Whether d^k fits 64 bits, i.e. every vertex of DG(d,k) has a rank.
+bool ranks_fit(std::uint32_t d, std::size_t k) {
+  std::uint64_t n = 1;
+  for (std::size_t i = 0; i < k && d > 1; ++i) {
+    if (n > std::numeric_limits<std::uint64_t>::max() / d) {
+      return false;
+    }
+    n *= d;
+  }
+  return true;
 }
 
 // --- de Bruijn oracles ----------------------------------------------------
@@ -79,10 +92,10 @@ class Alg4SuffixAutomatonOracle final : public RouteOracle {
   bool emits_three_block() const override { return true; }
 };
 
-// The allocation-free engine: packed offset-sweep kernels whenever (d, k)
-// fits a lane, the in-place Algorithm 3 scan otherwise — so the
-// conformance driver and dbn_fuzz cross-check the packed path against
-// every other implementation in the set.
+// The allocation-free engine: the packed offset sweep whenever (d, k)
+// fits a lane (one 128-bit lane, or up to 512 bits of 64-bit limbs), the
+// in-place Algorithm 3 scan otherwise — so the conformance driver and
+// dbn_fuzz cross-check every lane against the other implementations.
 class RouteEngineOracle final : public RouteOracle {
  public:
   explicit RouteEngineOracle(std::size_t k) : engine_(k) {}
@@ -287,8 +300,13 @@ OracleSet OracleSet::debruijn(std::uint32_t d, std::size_t k,
                     ? NetworkFamily::DeBruijnDirected
                     : NetworkFamily::DeBruijnUndirected,
                 d, k);
-  set.n_ = Word::vertex_count(d, k);
-  set.graph_ = std::make_unique<DeBruijnGraph>(d, k, orientation);
+  // Past 2^64 vertices no word has a rank: the set builds no graph and
+  // keeps only the formula oracles, and random_vertex draws digits.
+  const bool ranked = ranks_fit(d, k);
+  if (ranked) {
+    set.n_ = Word::vertex_count(d, k);
+    set.graph_ = std::make_unique<DeBruijnGraph>(d, k, orientation);
+  }
   if (orientation == Orientation::Directed) {
     set.oracles_.push_back(std::make_unique<Alg1Oracle>());
     if (options.include_batch) {
@@ -304,6 +322,9 @@ OracleSet OracleSet::debruijn(std::uint32_t d, std::size_t k,
       set.oracles_.push_back(std::make_unique<BatchEngineOracle>(
           d, k, BatchBackend::BidiEngine, options.batch_threads));
     }
+  }
+  if (!ranked) {
+    return set;
   }
   if (options.include_greedy) {
     set.oracles_.push_back(std::make_unique<GreedyOracle>(*set.graph_));
@@ -398,6 +419,13 @@ bool OracleSet::is_vertex(const Word& w) const {
 Word OracleSet::random_vertex(Rng& rng) const {
   if (family_ == NetworkFamily::Kautz) {
     return kautz_->word(rng.below(n_));
+  }
+  if (graph_ == nullptr) {
+    std::vector<Digit> digits(k_);
+    for (Digit& digit : digits) {
+      digit = static_cast<Digit>(rng.below(radix_));
+    }
+    return Word(radix_, std::move(digits));
   }
   return Word::from_rank(radix_, k_, rng.below(n_));
 }

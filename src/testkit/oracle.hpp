@@ -82,9 +82,10 @@ class OracleSet {
  public:
   /// The de Bruijn sets. Directed: Algorithm 1, greedy forwarding, BFS
   /// router, routing table. Undirected: Algorithms 2/3, two Algorithm 4
-  /// engines, the allocation-free route engine under both scalar
-  /// fallbacks (each taking the packed lane whenever (d, k) fits), greedy
-  /// forwarding, BFS router, routing table.
+  /// engines, the allocation-free route engine, greedy forwarding, BFS
+  /// router, routing table, layer table. Both add the batch engine. When
+  /// d^k does not fit 64 bits only the formula oracles remain (no graph,
+  /// greedy, BFS, table or layer oracle) and vertex_count() is 0.
   static OracleSet debruijn(std::uint32_t d, std::size_t k,
                             Orientation orientation,
                             const OracleOptions& options = {});
@@ -125,7 +126,8 @@ class OracleSet {
   /// adjacent digits differ).
   bool is_vertex(const Word& w) const;
 
-  /// Uniformly random vertex.
+  /// Uniformly random vertex: a random rank, or k random digits when d^k
+  /// does not fit 64 bits.
   Word random_vertex(Rng& rng) const;
 
  private:

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "common/rng.hpp"
 #include "core/common_substring.hpp"
@@ -190,13 +191,22 @@ TEST(KernelFuzz, PackedBorderArrays) {
 }
 
 TEST(KernelFuzz, PackedSideMinimumAtLaneBoundaries) {
-  // Dense sweep exactly at the lane-capacity edges (k = 64 at width 2,
-  // k = 32 at width 4) where a mask off-by-one would hide.
+  // Dense sweep at every lane and limb edge — k = 32/33, 64/65, 96/97,
+  // 128/129, 255/256 at width 2 and 16/17, 32/33, 64/65, 127/128 at
+  // width 4 — where a mask off-by-one or a carry dropped between limbs
+  // would hide. Rotations put long runs across every limb boundary.
+  static constexpr std::array<std::size_t, 10> kWidth2Edges = {
+      32, 33, 64, 65, 96, 97, 128, 129, 255, 256};
+  static constexpr std::array<std::size_t, 8> kWidth4Edges = {
+      16, 17, 32, 33, 64, 65, 127, 128};
   DBN_SEEDED_RNG(rng, 0xede0);
   for (int trial = 0; trial < 4000; ++trial) {
-    const bool wide = rng.chance(0.5);
-    const std::uint32_t alphabet = wide ? 5 + rng.below(12) : 2 + rng.below(3);
-    const std::size_t k = wide ? 29 + rng.below(4) : 61 + rng.below(4);
+    const bool wide_cells = rng.chance(0.5);
+    const std::uint32_t alphabet =
+        wide_cells ? 5 + rng.below(12) : 2 + rng.below(3);
+    const std::size_t k =
+        wide_cells ? kWidth4Edges[rng.below(kWidth4Edges.size())]
+                   : kWidth2Edges[rng.below(kWidth2Edges.size())];
     const std::vector<Symbol> x = testing::random_symbols(rng, k, alphabet);
     std::vector<Symbol> y = x;
     const std::size_t rot = rng.below(k);
@@ -204,10 +214,25 @@ TEST(KernelFuzz, PackedSideMinimumAtLaneBoundaries) {
     if (rng.chance(0.5)) {
       y[rng.below(k)] = static_cast<Symbol>(rng.below(alphabet));
     }
-    strings::PackedBuf px, py;
-    ASSERT_TRUE(strings::try_pack_pair(x, y, px, py));
-    EXPECT_EQ(strings::min_l_cost_packed(px, py).cost,
-              strings::min_l_cost(x, y).cost);
+    const int truth = strings::min_l_cost(x, y).cost;
+    const strings::WideBuf px = strings::pack_wide(x, alphabet);
+    const strings::WideBuf py = strings::pack_wide(y, alphabet);
+    const OverlapMin wide = strings::min_l_cost_wide(px, py);
+    EXPECT_EQ(wide.cost, truth);
+    testing::expect_valid_witness(x, y, wide);
+    if (strings::packable(alphabet, k, strings::kLaneBits)) {
+      const OverlapMin packed =
+          strings::min_l_cost_packed(strings::pack_word(x, alphabet),
+                                     strings::pack_word(y, alphabet));
+      EXPECT_EQ(packed.cost, truth);
+      testing::expect_valid_witness(x, y, packed);
+    }
+    // The bounded sweep is exact below its bound and never undercuts the
+    // true minimum above it.
+    const int bound = truth + static_cast<int>(rng.below(3)) - 1;
+    const OverlapMin bounded = strings::min_l_cost_wide(px, py, bound);
+    testing::expect_valid_witness(x, y, bounded);
+    EXPECT_EQ(std::min(bound, bounded.cost), std::min(bound, truth));
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "core/batch_route_engine.hpp"
+#include "core/distance.hpp"
 #include "core/route_engine.hpp"
 #include "core/routers.hpp"
 #include "obs/json.hpp"
@@ -424,10 +425,11 @@ TEST(Trace, NoSinkFastPathDoesNotAllocate) {
 // The batch engine's steady state is allocation-free end to end: per-query
 // work runs in the per-worker engine arena, parallel_for borrows the chunk
 // body without boxing it, a warmed output vector is written in place, and
-// a warmed memo copies into storage it already owns. Both kernels must hold
-// the property: the packed lane (DG(2,8)) and the in-place Algorithm 3 scan
-// that every word past the lane takes (DG(2,80), DG(17,5)). The memo runs
-// with fewer slots than pairs, so its warmed stores evict too.
+// a warmed memo copies into storage it already owns. Every kernel must
+// hold the property: the 128-bit packed lane (DG(2,8)), the four- and
+// eight-limb lanes (DG(2,80), DG(2,256)) and the in-place Algorithm 3 scan
+// (DG(17,5)). The memo runs with fewer slots than pairs, so its warmed
+// stores evict too.
 TEST(Trace, WarmedBatchEngineDoesNotAllocate) {
   ASSERT_FALSE(obs::tracing_enabled());
   struct Network {
@@ -436,8 +438,8 @@ TEST(Trace, WarmedBatchEngineDoesNotAllocate) {
     std::size_t cache_entries;
   };
   for (const Network net : {Network{2, 8, 0}, Network{2, 80, 0},
-                            Network{17, 5, 0}, Network{2, 8, 32},
-                            Network{2, 80, 32}}) {
+                            Network{2, 256, 0}, Network{17, 5, 0},
+                            Network{2, 8, 32}, Network{2, 80, 32}}) {
     const std::string label = "DG(" + std::to_string(net.d) + "," +
                               std::to_string(net.k) + ") cache " +
                               std::to_string(net.cache_entries);
@@ -476,6 +478,12 @@ TEST(Trace, WarmedBatchEngineDoesNotAllocate) {
         << label << ": warmed distance batch allocated";
     if (net.cache_entries > 0) {
       EXPECT_GT(evictions, 0u) << label;
+    }
+    // Allocation-free must not mean wrong: every lane answers the
+    // suffix-automaton distance.
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(distances[i], undirected_distance(queries[i].x, queries[i].y))
+          << label << ": query " << i;
     }
   }
 }

@@ -26,32 +26,13 @@ namespace {
 using strings::OverlapMin;
 using strings::PackedBuf;
 using strings::Symbol;
+using testing::expect_valid_witness;
 
 // Pack two symbol sequences at the common width, failing the test if the
 // pair was expected to pack.
 void pack_pair(const std::vector<Symbol>& x, const std::vector<Symbol>& y,
                PackedBuf& px, PackedBuf& py) {
   ASSERT_TRUE(strings::try_pack_pair(x, y, px, py));
-}
-
-// Checks the Theorem 2 witness contract shared by every l-side kernel:
-// (s, t, theta) in range, reproducing the cost, and naming a real block.
-void expect_valid_witness(const std::vector<Symbol>& x,
-                          const std::vector<Symbol>& y, const OverlapMin& m) {
-  const int k = static_cast<int>(x.size());
-  ASSERT_GE(m.s, 1);
-  ASSERT_LE(m.s, k);
-  ASSERT_GE(m.t, 1);
-  ASSERT_LE(m.t, k);
-  ASSERT_GE(m.theta, 0);
-  ASSERT_LE(m.theta, m.t);
-  ASSERT_LE(m.theta, k - m.s + 1);
-  EXPECT_EQ(m.cost, 2 * k - 1 + m.s - m.t - m.theta);
-  for (int i = 0; i < m.theta; ++i) {
-    EXPECT_EQ(x[static_cast<std::size_t>(m.s - 1 + i)],
-              y[static_cast<std::size_t>(m.t - m.theta + i)])
-        << "witness block mismatch at " << i;
-  }
 }
 
 // Alphabets that land on both lane widths, and length caps that reach the
@@ -71,11 +52,21 @@ TEST(PackedKernels, WidthSelectionAndPackability) {
   EXPECT_EQ(strings::packed_width(5), 4u);
   EXPECT_EQ(strings::packed_width(16), 4u);
   EXPECT_EQ(strings::packed_width(17), 0u);
-  EXPECT_TRUE(strings::packable(4, 64));
-  EXPECT_FALSE(strings::packable(4, 65));
-  EXPECT_TRUE(strings::packable(16, 32));
-  EXPECT_FALSE(strings::packable(16, 33));
+  // One 128-bit PackedBuf lane.
+  EXPECT_TRUE(strings::packable(4, 64, strings::kLaneBits));
+  EXPECT_FALSE(strings::packable(4, 65, strings::kLaneBits));
+  EXPECT_TRUE(strings::packable(16, 32, strings::kLaneBits));
+  EXPECT_FALSE(strings::packable(16, 33, strings::kLaneBits));
+  // The widest lane, 512 bits of limbs, is the default.
+  EXPECT_TRUE(strings::packable(4, 256));
+  EXPECT_FALSE(strings::packable(4, 257));
+  EXPECT_TRUE(strings::packable(16, 128));
+  EXPECT_FALSE(strings::packable(16, 129));
   EXPECT_FALSE(strings::packable(17, 1));
+  EXPECT_THROW(strings::pack_word(std::vector<Symbol>(65, 0), 2),
+               ContractViolation);
+  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(257, 0), 2),
+               ContractViolation);
 }
 
 TEST(PackedKernels, PackUnpackRoundTrip) {
@@ -195,6 +186,80 @@ TEST(PackedKernels, BoundedSweepIsExactBelowTheBound) {
       }
     }
   }
+}
+
+TEST(PackedKernels, SideMinimumAtEveryLimbEdge) {
+  // Both sides of every 64-bit limb boundary, of the 4-to-8-limb switch
+  // and of the lane's end, where a dropped carry or a mask off by one
+  // limb would hide. Each pair of every word/pair family runs through the
+  // wide lane, and through the 128-bit lane too when it fits, against the
+  // scalar scan: exact cost, a valid witness, the reversed words the r
+  // side sweeps, and the bounded sweep below and above its bound.
+  struct Edges {
+    std::vector<std::uint32_t> alphabets;
+    std::vector<std::size_t> ks;
+  };
+  const std::vector<Edges> edges = {
+      {{2, 4}, {32, 33, 64, 65, 96, 97, 128, 129, 255, 256}},  // width 2
+      {{5, 16}, {16, 17, 32, 33, 64, 65, 127, 128}},           // width 4
+  };
+  DBN_SEEDED_RNG(rng, 0x11b5);
+  for (const Edges& e : edges) {
+    for (const std::uint32_t d : e.alphabets) {
+      for (const std::size_t k : e.ks) {
+        ASSERT_TRUE(strings::packable(d, k));
+        for (const testkit::WordFamily wf : testkit::kAllWordFamilies) {
+          for (const testkit::PairFamily pf : testkit::kAllPairFamilies) {
+            SCOPED_TRACE(::testing::Message()
+                         << "d=" << d << " k=" << k << " "
+                         << testkit::family_name(wf) << "/"
+                         << testkit::family_name(pf));
+            const auto [xw, yw] = testkit::sample_pair(rng, d, k, wf, pf);
+            const std::vector<Symbol> x(xw.symbols().begin(),
+                                        xw.symbols().end());
+            const std::vector<Symbol> y(yw.symbols().begin(),
+                                        yw.symbols().end());
+            const int truth = strings::min_l_cost(x, y).cost;
+            const strings::WideBuf px = strings::pack_wide(x, d);
+            const strings::WideBuf py = strings::pack_wide(y, d);
+            const OverlapMin wide = strings::min_l_cost_wide(px, py);
+            EXPECT_EQ(wide.cost, truth);
+            expect_valid_witness(x, y, wide);
+            if (strings::packable(d, k, strings::kLaneBits)) {
+              const OverlapMin packed = strings::min_l_cost_packed(
+                  strings::pack_word(x, d), strings::pack_word(y, d));
+              EXPECT_EQ(packed.cost, truth);
+              expect_valid_witness(x, y, packed);
+            }
+            for (const int bound : {0, truth, truth + 1}) {
+              const OverlapMin m = strings::min_l_cost_wide(px, py, bound);
+              expect_valid_witness(x, y, m);
+              EXPECT_EQ(std::min(bound, m.cost), std::min(bound, truth))
+                  << "bound=" << bound;
+              if (truth < bound) {
+                EXPECT_EQ(m.cost, truth) << "bound=" << bound;
+              }
+            }
+            const std::vector<Symbol> xr = strings::reversed(x);
+            const std::vector<Symbol> yr = strings::reversed(y);
+            const OverlapMin r_side =
+                strings::min_l_cost_wide(strings::pack_wide(x, d, true),
+                                         strings::pack_wide(y, d, true));
+            EXPECT_EQ(r_side.cost, strings::min_l_cost(xr, yr).cost);
+            expect_valid_witness(xr, yr, r_side);
+          }
+        }
+      }
+    }
+  }
+  // One length past the widest lane at each width does not pack, so the
+  // engine takes the scalar scan there.
+  EXPECT_FALSE(strings::packable(2, 257));
+  EXPECT_FALSE(strings::packable(16, 129));
+  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(257, 1), 2),
+               ContractViolation);
+  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(129, 1), 16),
+               ContractViolation);
 }
 
 TEST(PackedKernels, MinLCostOnAdversarialPairFamilies) {

@@ -6,6 +6,7 @@
 #include "core/route_engine.hpp"
 #include "core/routers.hpp"
 #include "testing_util.hpp"
+#include "testkit/word_families.hpp"
 
 namespace dbn {
 namespace {
@@ -28,6 +29,48 @@ TEST(RouteEngine, MatchesAllocatingRouterOnRandomPairs) {
     EXPECT_EQ(path.apply(x), y) << "path=" << path.to_string();
     EXPECT_EQ(engine.distance(x, y), undirected_distance(x, y));
   }
+}
+
+TEST(RouteEngine, MatchesAllocatingRouterPastOneLane) {
+  // Words past one 128-bit lane: the 4- and 8-limb lanes (d <= 4 up to
+  // k = 256, d = 16 up to k = 128), then the in-place scan just past the
+  // widest lane and for d > 16. Every word and pair family, so runs cross
+  // limb boundaries at many offsets, not only the baseline.
+  BidirectionalRouteEngine engine(257);
+  DBN_SEEDED_RNG(rng, 0x1a4e);
+  RoutingPath path;
+  const auto check = [&](std::uint32_t d, std::size_t k) {
+    int trial = 0;
+    for (const testkit::WordFamily wf : testkit::kAllWordFamilies) {
+      for (const testkit::PairFamily pf : testkit::kAllPairFamilies) {
+        SCOPED_TRACE(::testing::Message()
+                     << "d=" << d << " k=" << k << " "
+                     << testkit::family_name(wf) << "/"
+                     << testkit::family_name(pf));
+        const auto [x, y] = testkit::sample_pair(rng, d, k, wf, pf);
+        const WildcardMode mode =
+            ++trial % 2 == 0 ? WildcardMode::Concrete : WildcardMode::Wildcards;
+        engine.route_into(x, y, mode, path);
+        const RoutingPath reference = route_bidirectional_mp(x, y, mode);
+        EXPECT_EQ(path.length(), reference.length())
+            << "X=" << x.to_string() << " Y=" << y.to_string();
+        EXPECT_EQ(path.apply(x), y) << "path=" << path.to_string();
+        EXPECT_EQ(engine.distance(x, y),
+                  static_cast<int>(reference.length()));
+      }
+    }
+  };
+  for (const std::uint32_t d : {2u, 4u}) {
+    for (const std::size_t k : {65u, 100u, 128u, 200u, 256u}) {
+      check(d, k);
+    }
+  }
+  for (const std::size_t k : {33u, 64u, 128u}) {
+    check(16, k);
+  }
+  check(2, 257);
+  check(16, 129);
+  check(20, 6);
 }
 
 TEST(RouteEngine, ReusableAcrossDifferentLengthsAndRadixes) {

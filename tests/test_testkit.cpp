@@ -21,6 +21,14 @@
 namespace dbn::testkit {
 namespace {
 
+std::vector<std::string_view> oracle_names(const OracleSet& set) {
+  std::vector<std::string_view> out;
+  for (const auto& oracle : set.oracles()) {
+    out.push_back(oracle->name());
+  }
+  return out;
+}
+
 bool has_kind(const PairReport& report, FailureKind kind) {
   for (const Failure& f : report.failures) {
     if (f.kind == kind) {
@@ -75,22 +83,42 @@ TEST(OracleSets, AllPairsCleanOnSmallNetworks) {
 // once beside the independent oracles it is checked against, so dropping
 // or duplicating an engine (or its oracle) has to show up here.
 TEST(OracleSets, DefaultPanelHoldsEachEngineOnce) {
-  const auto names = [](const OracleSet& set) {
-    std::vector<std::string_view> out;
-    for (const auto& oracle : set.oracles()) {
-      out.push_back(oracle->name());
-    }
-    return out;
-  };
-  EXPECT_EQ(names(OracleSet::debruijn(2, 4, Orientation::Undirected)),
+  EXPECT_EQ(oracle_names(OracleSet::debruijn(2, 4, Orientation::Undirected)),
             (std::vector<std::string_view>{
                 "alg2-mp", "alg4-st", "alg4-sam", "route-engine",
                 "batch-engine", "greedy-bi", "bfs-router", "routing-table",
                 "layer-table-bi"}));
-  EXPECT_EQ(names(OracleSet::debruijn(2, 4, Orientation::Directed)),
+  EXPECT_EQ(oracle_names(OracleSet::debruijn(2, 4, Orientation::Directed)),
             (std::vector<std::string_view>{"alg1-uni", "batch-alg1",
                                            "greedy-uni", "bfs-router",
                                            "routing-table"}));
+}
+
+TEST(OracleSets, PastTwoToTheSixtyFourOnlyFormulaOraclesRemain) {
+  // d^k beyond 64 bits: no graph to rank into, so no greedy, BFS, table
+  // or layer oracle, and random vertices are drawn digit by digit.
+  const OracleSet undirected =
+      OracleSet::debruijn(2, 65, Orientation::Undirected);
+  EXPECT_EQ(oracle_names(undirected),
+            (std::vector<std::string_view>{"alg2-mp", "alg4-st", "alg4-sam",
+                                           "route-engine", "batch-engine"}));
+  EXPECT_EQ(undirected.vertex_count(), 0u);
+  EXPECT_FALSE(undirected.has_bfs_reference());
+  const OracleSet directed = OracleSet::debruijn(16, 40, Orientation::Directed);
+  EXPECT_EQ(oracle_names(directed),
+            (std::vector<std::string_view>{"alg1-uni", "batch-alg1"}));
+  DBN_SEEDED_RNG(rng, 0x2e64);
+  const Conformance driver(undirected);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Word x = undirected.random_vertex(rng);
+    const Word y = undirected.random_vertex(rng);
+    ASSERT_TRUE(undirected.is_vertex(x));
+    const PairReport report = driver.check(x, y);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+  }
+  // The largest set that still fits keeps its graph.
+  EXPECT_EQ(OracleSet::debruijn(2, 63, Orientation::Directed).vertex_count(),
+            std::uint64_t{1} << 63);
 }
 
 TEST(OracleSets, LegalHopEnforcesTheMoveRule) {

@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "debruijn/word.hpp"
+#include "strings/matching.hpp"
 #include "strings/symbol.hpp"
 
 namespace dbn::testing {
@@ -66,6 +67,27 @@ inline Word random_word(Rng& rng, std::uint32_t radix, std::size_t k) {
     x = static_cast<Digit>(rng.below(radix));
   }
   return Word(radix, std::move(digits));
+}
+
+/// Checks the Theorem 2 witness contract shared by every l-side kernel:
+/// (s, t, theta) in range, reproducing the cost, and naming a real block.
+inline void expect_valid_witness(const std::vector<strings::Symbol>& x,
+                                 const std::vector<strings::Symbol>& y,
+                                 const strings::OverlapMin& m) {
+  const int k = static_cast<int>(x.size());
+  ASSERT_GE(m.s, 1);
+  ASSERT_LE(m.s, k);
+  ASSERT_GE(m.t, 1);
+  ASSERT_LE(m.t, k);
+  ASSERT_GE(m.theta, 0);
+  ASSERT_LE(m.theta, m.t);
+  ASSERT_LE(m.theta, k - m.s + 1);
+  EXPECT_EQ(m.cost, 2 * k - 1 + m.s - m.t - m.theta);
+  for (int i = 0; i < m.theta; ++i) {
+    EXPECT_EQ(x[static_cast<std::size_t>(m.s - 1 + i)],
+              y[static_cast<std::size_t>(m.t - m.theta + i)])
+        << "witness block mismatch at " << i;
+  }
 }
 
 /// The base seed gtest was (re)started with: --gtest_random_seed=N /

@@ -49,6 +49,7 @@
 #include "common/schema.hpp"
 #include "core/batch_route_engine.hpp"
 #include "obs_flags.hpp"
+#include "parse_number.hpp"
 
 namespace {
 
@@ -275,20 +276,22 @@ std::optional<BenchConfig> parse_args(int argc, char** argv) {
   bool min_speedup_given = false;
   for (std::size_t i = 0; i < flat.size(); ++i) {
     const std::string& arg = flat[i];
+    // Every numeric flag parses whole into its field's type.
     const auto number = [&](auto& out_value) -> bool {
       const auto text = take_value(i);
       if (!text) {
         std::cerr << "dbn_bench: " << arg << " needs a value\n";
         return false;
       }
-      try {
-        out_value = static_cast<std::remove_reference_t<decltype(out_value)>>(
-            std::stoull(*text));
-        return true;
-      } catch (const std::exception&) {
-        std::cerr << "dbn_bench: bad number for " << arg << "\n";
+      using Value = std::remove_reference_t<decltype(out_value)>;
+      const auto parsed = tools::parse_number<Value>(*text);
+      if (!parsed) {
+        std::cerr << "dbn_bench: bad number for " << arg << ": '" << *text
+                  << "'\n";
         return false;
       }
+      out_value = *parsed;
+      return true;
     };
     if (arg == "--smoke") {
       config.smoke = true;
@@ -307,18 +310,8 @@ std::optional<BenchConfig> parse_args(int argc, char** argv) {
     } else if (arg == "--speedup-threads") {
       if (!number(config.speedup_threads)) return std::nullopt;
     } else if (arg == "--min-speedup") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_bench: --min-speedup needs a value\n";
-        return std::nullopt;
-      }
-      try {
-        config.min_speedup = std::stod(*text);
-        min_speedup_given = true;
-      } catch (const std::exception&) {
-        std::cerr << "dbn_bench: bad number for --min-speedup\n";
-        return std::nullopt;
-      }
+      if (!number(config.min_speedup)) return std::nullopt;
+      min_speedup_given = true;
     } else if (arg == "--threads") {
       const auto text = take_value(i);
       if (!text) {
@@ -327,7 +320,12 @@ std::optional<BenchConfig> parse_args(int argc, char** argv) {
       }
       config.threads.clear();
       for (const std::string& part : split_csv(*text)) {
-        config.threads.push_back(std::stoull(part));
+        const auto threads = tools::parse_number<std::size_t>(part);
+        if (!threads) {
+          std::cerr << "dbn_bench: bad thread count '" << part << "'\n";
+          return std::nullopt;
+        }
+        config.threads.push_back(*threads);
       }
     } else if (arg == "--backends") {
       const auto text = take_value(i);
@@ -393,6 +391,10 @@ std::optional<BenchConfig> parse_args(int argc, char** argv) {
         config.threads.push_back(t);
       }
     }
+  }
+  if (config.d == 0 || config.k == 0) {
+    std::cerr << "dbn_bench: --d and --k must be at least 1\n";
+    return std::nullopt;
   }
   if (config.threads.empty() || config.backends.empty() ||
       config.queries == 0 || config.repeats == 0) {

@@ -24,8 +24,6 @@
 // not supported on the command line (the library itself has no such
 // limit). Exit status 0 on success, 1 on usage errors.
 #include <atomic>
-#include <cctype>
-#include <charconv>
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
@@ -51,6 +49,7 @@
 #include "net/simulator.hpp"
 #include "net/traffic.hpp"
 #include "obs_flags.hpp"
+#include "parse_number.hpp"
 #include "serve/io.hpp"
 #include "serve/server.hpp"
 
@@ -99,22 +98,6 @@ bool has_flag(const std::vector<std::string_view>& args,
     }
   }
   return false;
-}
-
-// A numeric flag value parsed whole into T: it must start with a digit (no
-// sign, space, "inf" or "nan"), end with the number, and fit T.
-template <typename T>
-std::optional<T> parse_number(std::string_view text) {
-  T value{};
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    return std::nullopt;
-  }
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end) {
-    return std::nullopt;
-  }
-  return value;
 }
 
 Word parse_word(std::uint32_t d, std::size_t k, std::string_view text) {
@@ -309,7 +292,7 @@ int cmd_simulate(std::uint32_t d, std::size_t k,
     if (!v) {
       return fallback;
     }
-    const auto parsed = parse_number<double>(*v);
+    const auto parsed = tools::parse_number<double>(*v);
     if (!parsed || *parsed <= 0.0) {
       std::cerr << "dbn simulate: bad value for " << name << ": '" << *v
                 << "'\n";
@@ -405,7 +388,7 @@ int cmd_serve(std::uint32_t d, std::size_t k,
       return;
     }
     const auto parsed =
-        parse_number<std::remove_reference_t<decltype(target)>>(*v);
+        tools::parse_number<std::remove_reference_t<decltype(target)>>(*v);
     if (!parsed) {
       std::cerr << "dbn serve: bad value for " << name << ": '" << *v
                 << "'\n";
