@@ -25,9 +25,11 @@
 // from strings/packed.hpp against the scalar Algorithm 3 scan on the same
 // pairs — the per-query ablation behind the batch-level bidi-vs-alg1 gate
 // (scripts/bench_report.py --max-bidi-vs-alg1). BM_Engine/128 over
-// BM_Engine/64 is the derived engine_k128_vs_k64 row
-// (--max-engine-k128-vs-k64): past k = 64 the words leave the 128-bit lane
-// for a lane of 64-bit limbs, and the ratio shows they still get one.
+// BM_Engine/64 and over BM_Engine/32 are the derived engine_k128_vs_k64
+// and engine_k128_vs_k32 rows (--max-engine-k128-vs-k64/-k32): d = 2
+// packs one bit per digit, so the words fill a 64-bit lane up to k = 64,
+// one 128-bit lane at k = 128 and 64-bit limbs past it (eight at
+// k = 512), and the ratios show k = 128 still gets the 1-bit lane.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -77,7 +79,7 @@ void BM_Engine(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_Engine)->RangeMultiplier(2)->Range(4, 256)->Complexity();
+BENCHMARK(BM_Engine)->RangeMultiplier(2)->Range(4, 512)->Complexity();
 
 void BM_EngineDistanceOnly(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
@@ -92,7 +94,7 @@ void BM_EngineDistanceOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineDistanceOnly)
     ->RangeMultiplier(2)
-    ->Range(4, 256)
+    ->Range(4, 512)
     ->Complexity();
 
 /// Accepts every event and throws it away — isolates the cost of *producing*
@@ -137,7 +139,8 @@ BENCHMARK(BM_TracedRoute)->Arg(16);
 
 void BM_PackedKernelMinLCost(benchmark::State& state) {
   // One l-side sweep on the lane the engine uses at this k: one 128-bit
-  // lane up to k = 64, four or eight 64-bit limbs past it.
+  // lane (a 64-bit one up to k = 64) up to k = 128, four 64-bit limbs
+  // past it.
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   Rng rng(k);
   const Word x = random_word(rng, 2, k);

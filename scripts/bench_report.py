@@ -34,11 +34,15 @@ Two subcommands:
            --max-deflection-cost R fails when a layer-table decision costs
            more than R x the re-scoring decision (CI uses 0.2: the table
            must be at least 5x cheaper or it is not paying for its memory).
-           When bench_route_engine's BM_Engine/64 and BM_Engine/128 rows
-           are recorded, a derived engine_k128_vs_k64 ratio is appended and
-           --max-engine-k128-vs-k64 R fails when doubling the word from
-           one 128-bit lane to four 64-bit limbs costs more than R x (CI
-           uses 30: the O(k^2) scalar scan it replaced cost over 100x).
+           When bench_route_engine's BM_Engine/32, /64 and /128 rows are
+           recorded, derived engine_k128_vs_k64 and engine_k128_vs_k32
+           ratios are appended. --max-engine-k128-vs-k64 R fails when
+           doubling the DG(2,k) word from 64 to 128 bits costs more than
+           R x (CI uses 30: the O(k^2) scalar scan the packed lanes
+           replaced cost over 100x). --max-engine-k128-vs-k32 R fails when
+           quadrupling it from 32 to 128 costs more than R x (CI uses 20:
+           one bit per cell keeps k=128 in one 128-bit lane, 6-11x; at two
+           bits per cell it takes four 64-bit limbs, 34-45x).
 
   compare  Check a fresh report against a committed baseline and fail
            (exit 1) when any comparable single-thread entry regressed by
@@ -262,15 +266,16 @@ def derive_deflection_cost(rows):
     return ratio
 
 
-def derive_engine_k128_vs_k64(rows):
-    """Appends the derived engine_k128_vs_k64 row; returns the ratio.
+def derive_engine_ratio(rows, k_num, k_den):
+    """Appends the derived engine_k<k_num>_vs_k<k_den> row; returns it.
 
-    Compares two rows of bench_route_engine from the same run:
-      BM_Engine/64    DG(2,64): the words fill one 128-bit packed lane
-      BM_Engine/128   DG(2,128): the words fill a lane of four 64-bit limbs
-    The offset sweep does about four times the limb work at twice the
-    length, while the scalar Algorithm 3 scan the limb lane replaced cost
-    over 100x, so the ratio shows whether k=128 still takes a packed lane.
+    Compares two rows of bench_route_engine from the same run: BM_Engine
+    routes one random DG(2,k) pair, and d = 2 packs one bit per digit, so
+    k=32 and k=64 run a 64-bit lane, k=128 one 128-bit lane and k=256 four
+    64-bit limbs. The offset sweep visits O(k) offsets of O(k/64) words
+    each, while the scalar Algorithm 3 scan the packed lanes replaced cost
+    over 100x per doubling, so k128_vs_k64 shows whether k=128 still takes
+    a packed lane, and k128_vs_k32 whether it still takes the 1-bit one.
     Returns None when either row is absent.
     """
     def find(suffix):
@@ -279,19 +284,40 @@ def derive_engine_k128_vs_k64(rows):
                 return row["best_ns_per_query"]
         return None
 
-    k64 = find("/BM_Engine/64")
-    k128 = find("/BM_Engine/128")
-    if k64 is None or k128 is None:
+    num = find(f"/BM_Engine/{k_num}")
+    den = find(f"/BM_Engine/{k_den}")
+    if num is None or den is None:
         return None
-    ratio = k128 / k64
+    ratio = num / den
     rows.append({
-        "name": "derived/engine_k128_vs_k64",
+        "name": f"derived/engine_k{k_num}_vs_k{k_den}",
         "backend": "derived",
         "threads": 1,
         "best_ns_per_query": ratio,  # a ratio, not a timing
-        "note": "BM_Engine/128 / BM_Engine/64 (same run)",
+        "note": f"BM_Engine/{k_num} / BM_Engine/{k_den} (same run)",
     })
     return ratio
+
+
+def gate_engine_ratio(ratio, limit, k_num, k_den):
+    """Prints the engine ratio and applies its --max-engine-... gate.
+
+    Returns 1 (fail) when the ratio exceeds a set limit, or when a limit is
+    set but the rows were not recorded; 0 otherwise.
+    """
+    flag = f"--max-engine-k{k_num}-vs-k{k_den}"
+    if ratio is not None:
+        print(f"bench_report: engine k={k_num} vs k={k_den} {ratio:.3f}x")
+        if limit > 0 and ratio > limit:
+            print(f"bench_report: FAIL BM_Engine/{k_num} costs "
+                  f"{ratio:.3f}x BM_Engine/{k_den} > allowed {limit:.2f}x")
+            return 1
+    elif limit > 0:
+        print(f"bench_report: FAIL {flag} set but the BM_Engine/{k_den} + "
+              f"BM_Engine/{k_num} pair was not recorded (add --gbench "
+              "bench_route_engine)")
+        return 1
+    return 0
 
 
 # Numeric fields of a Google-Benchmark JSON row that are part of the
@@ -367,7 +393,8 @@ def cmd_record(args):
     serve_overhead = derive_serve_overhead(report["results"])
     serve_obs_overhead = derive_serve_obs_overhead(report["results"])
     deflection_cost = derive_deflection_cost(report["results"])
-    engine_k128_vs_k64 = derive_engine_k128_vs_k64(report["results"])
+    engine_k128_vs_k64 = derive_engine_ratio(report["results"], 128, 64)
+    engine_k128_vs_k32 = derive_engine_ratio(report["results"], 128, 32)
     report["schema"] = SCHEMA
     report["generated_by"] = "scripts/bench_report.py"
     if metrics:
@@ -447,18 +474,11 @@ def cmd_record(args):
               "BM_DeflectionRescore/BM_LayerTableClassify pair was not "
               "recorded (add --gbench bench_saturation)")
         return 1
-    if engine_k128_vs_k64 is not None:
-        print(f"bench_report: engine k=128 vs k=64 {engine_k128_vs_k64:.3f}x")
-        if args.max_engine_k128_vs_k64 > 0 and \
-                engine_k128_vs_k64 > args.max_engine_k128_vs_k64:
-            print(f"bench_report: FAIL BM_Engine/128 costs "
-                  f"{engine_k128_vs_k64:.3f}x BM_Engine/64 > allowed "
-                  f"{args.max_engine_k128_vs_k64:.2f}x")
-            return 1
-    elif args.max_engine_k128_vs_k64 > 0:
-        print("bench_report: FAIL --max-engine-k128-vs-k64 set but the "
-              "BM_Engine/64 + BM_Engine/128 pair was not recorded (add "
-              "--gbench bench_route_engine)")
+    if gate_engine_ratio(engine_k128_vs_k64, args.max_engine_k128_vs_k64,
+                         128, 64):
+        return 1
+    if gate_engine_ratio(engine_k128_vs_k32, args.max_engine_k128_vs_k32,
+                         128, 32):
         return 1
     return 0
 
@@ -556,6 +576,10 @@ def main():
                      help="fail when BM_Engine/128 costs more than this "
                           "ratio of BM_Engine/64 in the same run (0 = no "
                           "gate; CI uses 30)")
+    rec.add_argument("--max-engine-k128-vs-k32", type=float, default=0.0,
+                     help="fail when BM_Engine/128 costs more than this "
+                          "ratio of BM_Engine/32 in the same run (0 = no "
+                          "gate; CI uses 20)")
     rec.set_defaults(func=cmd_record)
 
     cmp_ = sub.add_parser("compare", help="gate a report against a baseline")

@@ -49,7 +49,10 @@ class ContractViolation : public std::logic_error {
 };
 
 /// The contract level the current translation unit was compiled at.
-constexpr int contract_level() { return DBN_CONTRACT_LEVEL; }
+/// Internal linkage: translation units that pin different levels each keep
+/// their own copy, where an inline function would be one definition with
+/// several bodies and the linker would keep whichever it met first.
+static constexpr int contract_level() { return DBN_CONTRACT_LEVEL; }
 
 namespace detail {
 

@@ -44,6 +44,38 @@ Word RoutingPath::apply(const Word& source,
   return at;
 }
 
+bool RoutingPath::reaches(const Word& source, const Word& target) const {
+  const std::size_t k = source.length();
+  if (target.radix() != source.radix() || target.length() != k) {
+    return false;
+  }
+  for (const Hop& h : hops_) {
+    if (!h.is_wildcard() && h.digit >= source.radix()) {
+      return false;
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    // Walk back from the last hop: a left shift moved cell i+1 to i and
+    // wrote cell k-1, a right shift moved cell i-1 to i and wrote cell 0.
+    std::size_t at = p;
+    auto h = hops_.rbegin();
+    for (; h != hops_.rend(); ++h) {
+      const bool left = h->type == ShiftType::Left;
+      if (at == (left ? k - 1 : 0)) {
+        break;
+      }
+      at = left ? at + 1 : at - 1;
+    }
+    const Digit digit = h == hops_.rend() ? source.digit(at)
+                        : h->is_wildcard() ? 0
+                                           : h->digit;
+    if (digit != target.digit(p)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string RoutingPath::to_string() const {
   std::ostringstream os;
   os << "{";

@@ -63,6 +63,14 @@ class RoutingPath {
   Word apply(const Word& source,
              const WildcardResolver& resolver = zero_resolver()) const;
 
+  /// Whether apply(source) — every wildcard resolved to 0 — equals
+  /// `target`, checked without building the intermediate words: each
+  /// digit of the result is traced back to the hop that last wrote it, or
+  /// to the source digit it started as. O(k · length), no allocation, so
+  /// the allocation-free engines can audit their own paths. False, where
+  /// apply would throw, when a concrete digit is out of range.
+  bool reaches(const Word& source, const Word& target) const;
+
   /// "{(0,1),(1,*),...}" in the paper's notation.
   std::string to_string() const;
 

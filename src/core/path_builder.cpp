@@ -128,8 +128,10 @@ void build_bidi_path_into(const Word& x, const Word& y, const BidiPlan& plan,
   DBN_ASSERT(static_cast<int>(path.length()) == plan.distance,
              "constructed path length must equal the planned distance");
   // The paper's correctness claim for all three shapes: the path reaches y
-  // under any wildcard resolution (zero resolver as the spot-check).
-  DBN_AUDIT(path.apply(x) == y, "constructed path must reach the destination");
+  // under any wildcard resolution (zero resolver as the spot-check). The
+  // replay allocates nothing, so audit builds keep route_into
+  // allocation-free.
+  DBN_AUDIT(path.reaches(x, y), "constructed path must reach the destination");
 }
 
 }  // namespace dbn

@@ -9,11 +9,14 @@
 // once warmed up (beyond growing the returned path in place). Second,
 // whenever the endpoints fit a packed lane (strings/packed.hpp), the
 // Theorem 2 side minima are computed by the word-parallel offset sweep
-// instead of the per-symbol Algorithm 3 scan: one 128-bit lane for d <= 4
-// up to k = 64 and d <= 16 up to k = 32 (every network the paper's figures
-// discuss), a lane of 64-bit limbs for d <= 4 up to k = 256 and d <= 16 up
-// to k = 128. Only d > 16 and longer words run that scan, in place over
-// the reused buffers, so no kernel allocates once warmed. One engine per
+// instead of the per-symbol Algorithm 3 scan. d = 2 packs one bit per
+// digit, d <= 4 two and d <= 16 four: one 128-bit lane for d = 2 up to
+// k = 128, d <= 4 up to k = 64 and d <= 16 up to k = 32 (every network
+// the paper's figures discuss), a lane of 64-bit limbs for d = 2 up to
+// k = 512, d <= 4 up to k = 256 and d <= 16 up to k = 128. At each offset
+// the sweep tests only whether a run long enough to beat its incumbent
+// exists. Only d > 16 and longer words run that scan, in place over the
+// reused buffers, so no kernel allocates once warmed. One engine per
 // thread. The ablation benchmark (bench_route_engine) measures the gain;
 // the packed-vs-scalar differential battery pins the equivalence.
 #pragma once

@@ -10,18 +10,24 @@ namespace dbn::strings {
 
 namespace {
 
-constexpr __uint128_t splat(std::uint64_t half) {
-  return (static_cast<__uint128_t>(half) << 64) | half;
+// Whether `width` is a packed cell width: 1 bit for alphabets up to 2, 2
+// bits up to 4, 4 bits up to 16.
+constexpr bool valid_width(std::uint32_t width) {
+  return width == 1 || width == 2 || width == 4;
 }
 
-// Per-cell low-bit masks: one set bit at the bottom of every 2-bit (resp.
-// 4-bit) cell of the lane.
-constexpr __uint128_t kLsb2 = splat(0x5555555555555555ull);
-constexpr __uint128_t kLsb4 = splat(0x1111111111111111ull);
+// Per-cell low-bit pattern of a 64-bit limb: one set bit at the bottom of
+// every cell of the given width (every bit at width 1).
+constexpr std::uint64_t cell_lsb(std::uint32_t width) {
+  if (width == 1) {
+    return ~std::uint64_t{0};
+  }
+  return width == 2 ? 0x5555555555555555ull : 0x1111111111111111ull;
+}
 
 // The kernels below are templated on the lane type: a 128-bit lane covers
 // every PackedBuf word, but when the word fits 64 bits (e.g. the whole of
-// DG(2, k <= 32)) every shift/XOR/mask in the sweep is a single-register
+// DG(2, k <= 64)) every shift/XOR/mask in the sweep is a single-register
 // op instead of a carried pair, which roughly halves the kernel cost on
 // the words the routing benchmarks actually use. Dispatch is one
 // comparison per call (width * size <= 64). Past 128 bits the side sweep
@@ -182,59 +188,80 @@ int lane_ctz(Lane v) {
 int countr_zero128(__uint128_t v) { return lane_ctz(v); }
 
 // Per-cell equality mask: bit i*width is set iff cell i of a equals cell i
-// of b, for the first `cells` cells; everything above is cleared.
+// of b, for the cells under `window` (a low mask of whole cells);
+// everything above is cleared.
 template <typename Lane>
 Lane eq_mask_t(const Lane a, const Lane b, std::uint32_t width,
-               std::uint32_t cells) {
+               const Lane window) {
   Lane t = a ^ b;
+  if (width == 1) {
+    // One bit per cell: equal digits are equal bits.
+    return ~t & window;
+  }
   // OR-fold each cell's difference bits onto the cell's low bit, then
   // invert: a zero cell (equal digits) becomes a set low bit.
-  if (width == 2) {
-    t |= t >> 1;
-    return ~t & lane_splat<Lane>(0x5555555555555555ull) &
-           low_mask_t<Lane>(2 * cells);
+  if (width == 4) {
+    t |= t >> 2;
   }
-  t |= t >> 2;
   t |= t >> 1;
-  return ~t & lane_splat<Lane>(0x1111111111111111ull) &
-         low_mask_t<Lane>(4 * cells);
+  return ~t & lane_splat<Lane>(cell_lsb(width)) & window;
 }
 
+// eq_mask_t over the first `cells` cells of one 128-bit lane.
 __uint128_t eq_mask(const __uint128_t a, const __uint128_t b,
                     std::uint32_t width, std::uint32_t cells) {
-  return eq_mask_t(a, b, width, cells);
+  return eq_mask_t(a, b, width, low_mask(width * cells));
 }
 
-// Longest run of consecutive set cells in an equality mask, plus the index
-// of the first cell of one longest run. The fold m &= m >> width leaves,
-// after t rounds, exactly the cells that start a run of length > t; the
-// last non-empty mask therefore marks the starts of the longest runs.
+// A run of consecutive set cells in an equality mask: its length and the
+// index of its first cell.
 struct Run {
   int length = 0;
   int start = 0;
 };
 
+// The longest run of an equality mask if it reaches `need` cells (need >=
+// 1), with the first cell of its lowest occurrence; {0, 0} when every run
+// is shorter. A mask in which each set cell starts a run of `have` cells,
+// folded as m &= m >> step*width with step <= have, keeps exactly the
+// cells that start a run of have + step. On lanes wider than 64 bits,
+// doubling steps (1, 2, 4, ..., capped at need) first settle whether any
+// run reaches need in O(log need) lane ops, so an offset that cannot beat
+// the incumbent costs a few folds. A 64-bit lane skips them: its runs are
+// short and each fold is one instruction, and there the doubling steps
+// measured slower than folding to the end. The one-cell fold then finds
+// the exact longest run, and its last non-empty mask marks the starts of
+// the longest runs.
 template <typename Lane>
-Run longest_run_t(Lane m, std::uint32_t width) {
-  Run run;
-  while (lane_any(m)) {
-    run.start = lane_ctz(m) / static_cast<int>(width);
-    ++run.length;
-    m &= m >> width;
+Run run_reaching(Lane m, std::uint32_t width, int need) {
+  int have = 1;
+  if constexpr (sizeof(Lane) > 8) {
+    while (have < need && lane_any(m)) {
+      const int step = std::min(have, need - have);
+      m &= m >> (static_cast<std::uint32_t>(step) * width);
+      have += step;
+    }
   }
-  return run;
-}
-
-Run longest_run(__uint128_t m, std::uint32_t width) {
-  return longest_run_t(m, width);
+  if (!lane_any(m)) {
+    return {};
+  }
+  Lane last = m;
+  for (m &= m >> width; lane_any(m); m &= m >> width) {
+    last = m;
+    ++have;
+  }
+  if (have < need) {
+    return {};
+  }
+  return Run{have, lane_ctz(last) / static_cast<int>(width)};
 }
 
 // Number of leading (lowest-index) consecutive set cells of an equality
 // mask covering `cells` cells.
 int leading_matches(__uint128_t mask, std::uint32_t width,
                     std::uint32_t cells) {
-  const __uint128_t lsb = (width == 2) ? kLsb2 : kLsb4;
-  const __uint128_t holes = ~mask & lsb & low_mask(width * cells);
+  const __uint128_t holes = ~mask & lane_splat<__uint128_t>(cell_lsb(width)) &
+                            low_mask(width * cells);
   if (holes == 0) {
     return static_cast<int>(cells);
   }
@@ -244,51 +271,64 @@ int leading_matches(__uint128_t mask, std::uint32_t width,
 // The l-side offset sweep (see min_l_cost_packed's header comment for the
 // derivation). `bound` is an external incumbent: offsets whose cost lower
 // bound reaches min(best, bound) are skipped, so the result is the exact
-// minimum whenever that minimum is below `bound`.
-template <typename Lane>
+// minimum whenever that minimum is below `bound`. The cell width is a
+// template argument, and the shifted word and its window move down one
+// cell per offset, so every per-offset shift is by a constant.
+template <std::uint32_t Width, typename Lane>
 OverlapMin side_sweep(const Lane xbits, const Lane ybits, const int k,
-                      const std::uint32_t width, const int bound) {
+                      const int bound) {
+  const Lane full = low_mask_t<Lane>(Width * static_cast<std::uint32_t>(k));
   // θ = 0 baseline: cost 2k-1+i-j is minimal at (i, j) = (1, k), value k.
   OverlapMin best{k, 1, k, 0};
   // c >= 0: y shifted down by c cells, window k-c; a run starting at mask
   // cell p is the block x[p..p+θ-1] == y[p+c..p+c+θ-1], i.e. the witness
   // (s, t, θ) = (p+1, p+c+θ, θ) of cost 2k - c - 2θ. Runs are bounded by
   // the window, so cost(c) >= 2k - c - 2(k-c) = c: once c reaches the
-  // incumbent the rest of the sweep cannot improve it.
+  // incumbent the rest of the sweep cannot improve it. Within an offset,
+  // the cost drops below the incumbent only for θ > (2k - c - best)/2, so
+  // the run test is bounded by that need.
+  Lane shifted = ybits;
+  Lane window = full;
   for (int c = 0; c < k && c < best.cost && c < bound; ++c) {
-    const Lane mask =
-        eq_mask_t(xbits, static_cast<Lane>(
-                             ybits >> (static_cast<std::uint32_t>(c) * width)),
-                  width, static_cast<std::uint32_t>(k - c));
-    const Run run = longest_run_t(mask, width);
-    if (run.length == 0) {
-      continue;
+    const Run run = run_reaching(eq_mask_t(xbits, shifted, Width, window),
+                                 Width, (2 * k - c - best.cost) / 2 + 1);
+    if (run.length != 0) {
+      best = OverlapMin{2 * k - c - 2 * run.length, run.start + 1,
+                        run.start + c + run.length, run.length};
     }
-    const int cost = 2 * k - c - 2 * run.length;
-    if (cost < best.cost) {
-      best = OverlapMin{cost, run.start + 1, run.start + c + run.length,
-                        run.length};
-    }
+    shifted = shifted >> Width;
+    window = window >> Width;
   }
   // c < 0 (shift x down by a = -c): mask cell p is the block
   // x[p+a..p+a+θ-1] == y[p..p+θ-1], witness (p+a+1, p+θ, θ) of cost
   // 2k + a - 2θ >= 2k + a - 2(k-a) = 3a.
+  shifted = xbits;
+  window = full;
   for (int a = 1; a < k && 3 * a < best.cost && 3 * a < bound; ++a) {
-    const Lane mask =
-        eq_mask_t(static_cast<Lane>(
-                      xbits >> (static_cast<std::uint32_t>(a) * width)),
-                  ybits, width, static_cast<std::uint32_t>(k - a));
-    const Run run = longest_run_t(mask, width);
-    if (run.length == 0) {
-      continue;
-    }
-    const int cost = 2 * k + a - 2 * run.length;
-    if (cost < best.cost) {
-      best = OverlapMin{cost, run.start + a + 1, run.start + run.length,
-                        run.length};
+    shifted = shifted >> Width;
+    window = window >> Width;
+    const Run run = run_reaching(eq_mask_t(shifted, ybits, Width, window),
+                                 Width, (2 * k + a - best.cost) / 2 + 1);
+    if (run.length != 0) {
+      best = OverlapMin{2 * k + a - 2 * run.length, run.start + a + 1,
+                        run.start + run.length, run.length};
     }
   }
   return best;
+}
+
+// side_sweep at a run-time cell width.
+template <typename Lane>
+OverlapMin sweep(const Lane xbits, const Lane ybits, const int k,
+                 const std::uint32_t width, const int bound) {
+  switch (width) {
+    case 1:
+      return side_sweep<1>(xbits, ybits, k, bound);
+    case 2:
+      return side_sweep<2>(xbits, ybits, k, bound);
+    default:
+      return side_sweep<4>(xbits, ybits, k, bound);
+  }
 }
 
 // The low N limbs of a wide word as a sweep lane.
@@ -337,7 +377,7 @@ void ensure_witness(const OverlapMin& best, const Buf& x, const Buf& y) {
 std::uint64_t byteswap64(std::uint64_t v) { return __builtin_bswap64(v); }
 
 void check_pair(const PackedBuf& x, const PackedBuf& y) {
-  DBN_REQUIRE(x.width == y.width && (x.width == 2 || x.width == 4),
+  DBN_REQUIRE(x.width == y.width && valid_width(x.width),
               "packed kernels need two buffers of one common width");
 }
 
@@ -358,6 +398,9 @@ void PackedBuf::set(std::size_t i, std::uint32_t v) {
 }
 
 std::uint32_t packed_width(std::uint64_t alphabet) {
+  if (alphabet <= 2) {
+    return 1;
+  }
   if (alphabet <= 4) {
     return 2;
   }
@@ -381,7 +424,8 @@ PackedBuf pack_word(SymbolView word, std::uint64_t alphabet) {
   out.size = static_cast<std::uint32_t>(word.size());
   if (out.width * out.size <= 64) {
     // Accumulate in one register when the word fits 64 bits — the hot
-    // shape for the routing benchmarks (all of DG(d <= 4, k <= 32)).
+    // shape for the routing benchmarks (all of DG(2, k <= 64) and
+    // DG(d <= 4, k <= 32)).
     std::uint64_t acc = 0;
     for (std::size_t i = 0; i < word.size(); ++i) {
       DBN_REQUIRE(word[i] < alphabet, "pack_word digit exceeds the alphabet");
@@ -412,23 +456,29 @@ PackedBuf pack_reversed(SymbolView word, std::uint64_t alphabet) {
 }
 
 PackedBuf reverse_cells(const PackedBuf& p) {
-  DBN_REQUIRE(p.width == 2 || p.width == 4,
-              "reverse_cells needs a packed buffer");
+  DBN_REQUIRE(valid_width(p.width), "reverse_cells needs a packed buffer");
   // Butterfly reversal: swap the lane halves, then bytes within halves,
-  // then nibbles within bytes, then (at width 2) digit pairs within
-  // nibbles. That reverses all lane cells, leaving the word's cells in the
-  // high end of the lane; the final shift re-aligns cell 0 to the bottom.
+  // then nibbles within bytes, then (at widths 2 and 1) bit pairs within
+  // nibbles, then (at width 1) single bits within pairs. That reverses all
+  // lane cells, leaving the word's cells in the high end of the lane; the
+  // final shift re-aligns cell 0 to the bottom.
   const auto hi = static_cast<std::uint64_t>(p.bits >> 64);
   const auto lo = static_cast<std::uint64_t>(p.bits);
   std::uint64_t a = byteswap64(lo);
   std::uint64_t b = byteswap64(hi);
   a = ((a & 0xF0F0F0F0F0F0F0F0ull) >> 4) | ((a & 0x0F0F0F0F0F0F0F0Full) << 4);
   b = ((b & 0xF0F0F0F0F0F0F0F0ull) >> 4) | ((b & 0x0F0F0F0F0F0F0F0Full) << 4);
-  if (p.width == 2) {
+  if (p.width <= 2) {
     a = ((a & 0xCCCCCCCCCCCCCCCCull) >> 2) |
         ((a & 0x3333333333333333ull) << 2);
     b = ((b & 0xCCCCCCCCCCCCCCCCull) >> 2) |
         ((b & 0x3333333333333333ull) << 2);
+  }
+  if (p.width == 1) {
+    a = ((a & 0xAAAAAAAAAAAAAAAAull) >> 1) |
+        ((a & 0x5555555555555555ull) << 1);
+    b = ((b & 0xAAAAAAAAAAAAAAAAull) >> 1) |
+        ((b & 0x5555555555555555ull) << 1);
   }
   const __uint128_t reversed = (static_cast<__uint128_t>(a) << 64) | b;
   PackedBuf out;
@@ -439,7 +489,7 @@ PackedBuf reverse_cells(const PackedBuf& p) {
 }
 
 bool try_pack(SymbolView word, std::uint32_t width, PackedBuf& out) {
-  if ((width != 2 && width != 4) || width * word.size() > kLaneBits) {
+  if (!valid_width(width) || width * word.size() > kLaneBits) {
     return false;
   }
   out = PackedBuf{};
@@ -506,9 +556,9 @@ OverlapMin min_l_cost_packed_bounded(const PackedBuf& x, const PackedBuf& y,
   const std::uint32_t width = x.width;
   const OverlapMin best =
       x.size * width <= 64
-          ? side_sweep(static_cast<std::uint64_t>(x.bits),
-                       static_cast<std::uint64_t>(y.bits), k, width, bound)
-          : side_sweep(x.bits, y.bits, k, width, bound);
+          ? sweep(static_cast<std::uint64_t>(x.bits),
+                  static_cast<std::uint64_t>(y.bits), k, width, bound)
+          : sweep(x.bits, y.bits, k, width, bound);
   ensure_witness(best, x, y);
   return best;
 }
@@ -529,7 +579,7 @@ WideBuf pack_wide(SymbolView word, std::uint64_t alphabet, bool reversed) {
 }
 
 OverlapMin min_l_cost_wide(const WideBuf& x, const WideBuf& y, int bound) {
-  DBN_REQUIRE(x.width == y.width && (x.width == 2 || x.width == 4),
+  DBN_REQUIRE(x.width == y.width && valid_width(x.width),
               "packed kernels need two buffers of one common width");
   DBN_REQUIRE(x.size >= 1 && x.size == y.size &&
                   x.size * x.width <= kWideLaneBits,
@@ -539,8 +589,8 @@ OverlapMin min_l_cost_wide(const WideBuf& x, const WideBuf& y, int bound) {
   const std::uint32_t width = x.width;
   const OverlapMin best =
       x.size * width <= 256
-          ? side_sweep(low_limbs<4>(x), low_limbs<4>(y), k, width, bound)
-          : side_sweep(low_limbs<8>(x), low_limbs<8>(y), k, width, bound);
+          ? sweep(low_limbs<4>(x), low_limbs<4>(y), k, width, bound)
+          : sweep(low_limbs<8>(x), low_limbs<8>(y), k, width, bound);
   ensure_witness(best, x, y);
   return best;
 }
@@ -559,7 +609,7 @@ int longest_common_substring_packed(const PackedBuf& a, const PackedBuf& b) {
     }
     const __uint128_t mask =
         eq_mask(a.bits, b.bits >> (c * width), width, window);
-    best = std::max(best, longest_run(mask, width).length);
+    best = std::max(best, run_reaching(mask, width, best + 1).length);
   }
   for (std::uint32_t c = 1; c < a.size; ++c) {
     const std::uint32_t window = std::min(a.size - c, b.size);
@@ -568,7 +618,7 @@ int longest_common_substring_packed(const PackedBuf& a, const PackedBuf& b) {
     }
     const __uint128_t mask =
         eq_mask(a.bits >> (c * width), b.bits, width, window);
-    best = std::max(best, longest_run(mask, width).length);
+    best = std::max(best, run_reaching(mask, width, best + 1).length);
   }
   return best;
 }
@@ -579,12 +629,12 @@ void border_array_packed(const PackedBuf& p, std::vector<int>& out) {
   if (n <= 1) {
     return;
   }
-  DBN_REQUIRE(p.width == 2 || p.width == 4,
+  DBN_REQUIRE(valid_width(p.width),
               "border_array_packed needs a packed buffer");
   // lead[c] = number of leading cells where p matches p shifted by c. The
   // prefix p[0..i] has a border of length s = i+1-c exactly when
   // lead[c] >= s, so border[i] is i+1-c for the smallest feasible c.
-  // n <= 64 cells bounds the quadratic fill at a few thousand word ops.
+  // n <= 128 cells bounds the quadratic fill at ~8k word ops.
   std::vector<int> lead(n, 0);
   for (std::uint32_t c = 1; c < n; ++c) {
     const __uint128_t mask =

@@ -4,24 +4,27 @@
 // Layout: a PackedBuf stores up to 128 bits of digits in one unsigned
 // 128-bit lane. Digit cell i occupies bits [i*width, (i+1)*width), with
 // cell 0 (the paper's x_1) in the least significant bits. The cell width
-// is 2 bits for alphabets up to 4 and 4 bits for alphabets up to 16, so a
-// word fits one lane iff width * length <= 128 — every de Bruijn vertex
-// with d <= 4, k <= 64 and d <= 16, k <= 32. A WideBuf lays the same
-// cells over 64-bit limbs, up to 512 bits (d <= 4 up to k = 256, d <= 16
-// up to k = 128); only the Theorem 2 side sweep runs on it. Larger
-// alphabets or longer words fall back to the scalar kernels (the callers
-// in failure.cpp / route_engine.cpp dispatch on try_pack / packable).
+// is 1 bit for alphabets up to 2, 2 bits up to 4 and 4 bits up to 16, so
+// a word fits one lane iff width * length <= 128 — every de Bruijn vertex
+// with d = 2, k <= 128; d <= 4, k <= 64 and d <= 16, k <= 32. A WideBuf
+// lays the same cells over 64-bit limbs, up to 512 bits (d = 2 up to
+// k = 512, d <= 4 up to k = 256, d <= 16 up to k = 128); only the
+// Theorem 2 side sweep runs on it. Larger alphabets or longer words fall
+// back to the scalar kernels (the callers in failure.cpp /
+// route_engine.cpp dispatch on try_pack / packable).
 //
 // The kernels all reduce to one primitive: a per-cell equality mask
-// between two buffers at a digit offset, computed branch-free by XOR,
-// OR-folding each cell onto its low bit and masking. A run of equal cells
-// is then measured by the classic mask-and-shift fold
-//     while (m) { m &= m >> width; ++len; }
-// which takes max-run iterations of O(1) lane ops instead of a
-// per-symbol automaton walk. Every kernel here has a scalar reference in
-// strings/naive.hpp or strings/matching.hpp; the packed-vs-scalar
-// differential battery (tests/test_packed_kernels.cpp, test_kernel_fuzz)
-// pins the equivalence.
+// between two buffers at a digit offset, computed branch-free by XOR
+// (at widths 2 and 4 OR-folding each cell onto its low bit) and masking
+// to the window. A run of equal cells is then measured by mask-and-shift
+// folds: m &= m >> (step * width) keeps the cells that start a longer
+// run. On lanes wider than 64 bits, doubling steps decide in O(log need)
+// lane ops whether any run reaches the length `need` that could beat the
+// sweep's incumbent, and only then the one-cell fold finds the exact
+// longest run; a 64-bit lane folds one cell at a time. Every kernel
+// here has a scalar reference in strings/naive.hpp or
+// strings/matching.hpp; the packed-vs-scalar differential battery
+// (tests/test_packed_kernels.cpp, test_kernel_fuzz) pins the equivalence.
 #pragma once
 
 #include <array>
@@ -44,7 +47,7 @@ inline constexpr std::uint32_t kWideLaneBits = 512;
 /// both).
 struct PackedBuf {
   __uint128_t bits = 0;      // cell i at [i*width, (i+1)*width)
-  std::uint32_t width = 0;   // bits per digit cell: 2 or 4
+  std::uint32_t width = 0;   // bits per digit cell: 1, 2 or 4
   std::uint32_t size = 0;    // number of digit cells
 
   /// Digit in cell i (i < size).
@@ -55,7 +58,7 @@ struct PackedBuf {
   friend bool operator==(const PackedBuf& a, const PackedBuf& b) = default;
 };
 
-/// Cell width needed for digits in [0, alphabet): 2, 4, or 0 when the
+/// Cell width needed for digits in [0, alphabet): 1, 2, 4, or 0 when the
 /// alphabet does not pack (> 16).
 std::uint32_t packed_width(std::uint64_t alphabet);
 
@@ -106,8 +109,12 @@ int suffix_prefix_overlap_packed(const PackedBuf& x, const PackedBuf& y);
 /// with the θ = 0 baseline k attained at (i, j) = (1, k). The sweep visits
 /// offsets in increasing |c| and prunes with the exact lower bounds
 /// cost(c) >= c (c >= 0, run <= k - c) and cost(c) >= 3|c| (c < 0).
-/// Same result contract as strings::min_l_cost: a minimal cost plus a
-/// valid (s, t, theta) witness. Requires equal widths and sizes, size >= 1.
+/// Within an offset it only tests whether some run reaches the length
+/// that would beat the incumbent, (2k - c - best)/2 + 1 cells (with
+/// 2k + |c| for c < 0), and measures the exact longest run and its lowest
+/// start only when one does. Same result contract as strings::min_l_cost:
+/// a minimal cost plus a valid (s, t, theta) witness. Requires equal
+/// widths and sizes, size >= 1.
 OverlapMin min_l_cost_packed(const PackedBuf& x, const PackedBuf& y);
 
 /// No external incumbent: min_l_cost_packed_bounded degenerates to the
@@ -126,10 +133,10 @@ OverlapMin min_l_cost_packed_bounded(const PackedBuf& x, const PackedBuf& y,
 
 /// One packed word of up to kWideLaneBits bits: PackedBuf's cell layout
 /// and invariant laid over 64-bit limbs, limb 0 lowest. A cell never
-/// straddles two limbs (both widths divide 64).
+/// straddles two limbs (every width divides 64).
 struct WideBuf {
   std::array<std::uint64_t, kWideLaneBits / 64> limbs{};
-  std::uint32_t width = 0;  // bits per digit cell: 2 or 4
+  std::uint32_t width = 0;  // bits per digit cell: 1, 2 or 4
   std::uint32_t size = 0;   // number of digit cells
 };
 

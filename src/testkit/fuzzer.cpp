@@ -53,10 +53,13 @@ std::vector<FuzzPoint> fuzz_schedule() {
     points.push_back({orientation, 10, 7});
     // d > 16 keeps the engine's in-place Algorithm 3 scan fuzzed.
     points.push_back({orientation, 20, 6});
-    // Past 2^64 vertices (formula oracles only): words on the 4- and
-    // 8-limb lanes, across limb boundaries.
+    // Past 2^64 vertices (formula oracles only): words on the 128-bit
+    // and 4- and 8-limb lanes, across limb boundaries, and d = 2 just
+    // past the widest lane (the in-place scan).
     points.push_back({orientation, 2, 65});
     points.push_back({orientation, 2, 130});
+    points.push_back({orientation, 2, 257});
+    points.push_back({orientation, 2, 513});
     points.push_back({orientation, 4, 100});
     points.push_back({orientation, 16, 40});
   }

@@ -138,7 +138,7 @@ TEST(KernelFuzz, PackedOverlapAndSearchKernels) {
   DBN_SEEDED_RNG(rng, 0x9afca11);
   std::vector<std::size_t> hits;
   for (int trial = 0; trial < 20000; ++trial) {
-    // Alphabet mix: mostly small (both lane widths), occasionally at or
+    // Alphabet mix: mostly small (every cell width), occasionally at or
     // past the packable edge so the dispatchers' fallback is fuzzed too.
     const std::uint32_t alphabet =
         trial % 7 == 0 ? 16 + rng.below(4) : 1 + rng.below(16);
@@ -191,22 +191,35 @@ TEST(KernelFuzz, PackedBorderArrays) {
 }
 
 TEST(KernelFuzz, PackedSideMinimumAtLaneBoundaries) {
-  // Dense sweep at every lane and limb edge — k = 32/33, 64/65, 96/97,
-  // 128/129, 255/256 at width 2 and 16/17, 32/33, 64/65, 127/128 at
-  // width 4 — where a mask off-by-one or a carry dropped between limbs
-  // would hide. Rotations put long runs across every limb boundary.
+  // Dense sweep at every lane and limb edge — k = 64/65, 128/129, ...,
+  // 448/449, 511/512 at width 1 (d = 2), 32/33, 64/65, 96/97, 128/129,
+  // 255/256 at width 2 and 16/17, 32/33, 64/65, 127/128 at width 4 —
+  // where a mask off-by-one or a carry dropped between limbs would hide.
+  // Rotations put long runs across every limb boundary.
+  static constexpr std::array<std::size_t, 16> kWidth1Edges = {
+      64, 65, 128, 129, 192, 193, 256, 257, 320, 321, 384, 385, 448, 449,
+      511, 512};
   static constexpr std::array<std::size_t, 10> kWidth2Edges = {
       32, 33, 64, 65, 96, 97, 128, 129, 255, 256};
   static constexpr std::array<std::size_t, 8> kWidth4Edges = {
       16, 17, 32, 33, 64, 65, 127, 128};
   DBN_SEEDED_RNG(rng, 0xede0);
   for (int trial = 0; trial < 4000; ++trial) {
-    const bool wide_cells = rng.chance(0.5);
-    const std::uint32_t alphabet =
-        wide_cells ? 5 + rng.below(12) : 2 + rng.below(3);
-    const std::size_t k =
-        wide_cells ? kWidth4Edges[rng.below(kWidth4Edges.size())]
-                   : kWidth2Edges[rng.below(kWidth2Edges.size())];
+    std::uint32_t alphabet = 2;
+    std::size_t k = 0;
+    switch (rng.below(3)) {
+      case 0:
+        k = kWidth1Edges[rng.below(kWidth1Edges.size())];
+        break;
+      case 1:
+        alphabet = 3 + rng.below(2);
+        k = kWidth2Edges[rng.below(kWidth2Edges.size())];
+        break;
+      default:
+        alphabet = 5 + rng.below(12);
+        k = kWidth4Edges[rng.below(kWidth4Edges.size())];
+        break;
+    }
     const std::vector<Symbol> x = testing::random_symbols(rng, k, alphabet);
     std::vector<Symbol> y = x;
     const std::size_t rot = rng.below(k);

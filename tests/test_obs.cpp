@@ -2,6 +2,7 @@
 // exactness, histogram bucket semantics, trace determinism, the Theorem 2
 // block segmentation carried on route spans, and the no-sink fast path.
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <sstream>
@@ -28,8 +29,9 @@ using namespace dbn;
 
 // ---------------------------------------------------------------------------
 // Allocation counting for the no-sink fast-path test. The replacement
-// operators delegate to malloc/free and only bump the counter while a test
-// window is open, so the rest of the binary is unaffected.
+// operators delegate to malloc (aligned_alloc for over-aligned types) and
+// free, and only bump the counter while a test window is open, so the rest
+// of the binary is unaffected.
 
 std::atomic<bool> g_count_allocations{false};
 std::atomic<std::uint64_t> g_allocation_count{0};
@@ -47,6 +49,33 @@ struct AllocationWindow {
   }
 };
 
+// Every allocation form goes through here: plain, array, nothrow and
+// over-aligned. A form left to the runtime would allocate uncounted, and
+// its memory could come back through one of the deletes below, which
+// sanitizers report as an alloc-dealloc mismatch (std::stable_sort takes
+// its buffer from the nothrow form and returns it through the sized
+// delete).
+void* counted_alloc(std::size_t size, std::size_t alignment) noexcept {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  size = size == 0 ? 1 : size;
+  if (alignment <= alignof(std::max_align_t)) {
+    return std::malloc(size);
+  }
+  // aligned_alloc takes a size that is a multiple of the alignment.
+  return std::aligned_alloc(alignment,
+                            (size + alignment - 1) / alignment * alignment);
+}
+
+void* counted_alloc_or_throw(std::size_t size, std::size_t alignment) {
+  void* p = counted_alloc(size, alignment);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
 }  // namespace
 
 // GCC pairs the inlined replacement operators with the malloc/free inside
@@ -57,23 +86,55 @@ struct AllocationWindow {
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 
-void* operator new(std::size_t size) {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
-    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
+void* operator new(std::size_t size) { return counted_alloc_or_throw(size, 0); }
+void* operator new[](std::size_t size) {
+  return counted_alloc_or_throw(size, 0);
 }
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, std::align_val_t al) {
+  return counted_alloc_or_throw(size, static_cast<std::size_t>(al));
+}
+void* operator new[](std::size_t size, std::align_val_t al) {
+  return counted_alloc_or_throw(size, static_cast<std::size_t>(al));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, 0);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, 0);
+}
+void* operator new(std::size_t size, std::align_val_t al,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(size, static_cast<std::size_t>(al));
+}
+void* operator new[](std::size_t size, std::align_val_t al,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(size, static_cast<std::size_t>(al));
+}
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
@@ -437,9 +498,12 @@ TEST(Trace, WarmedBatchEngineDoesNotAllocate) {
     std::size_t k;
     std::size_t cache_entries;
   };
+  // One network per lane: 64 bits, 128 bits, four and eight limbs, and
+  // the in-place scan.
   for (const Network net : {Network{2, 8, 0}, Network{2, 80, 0},
-                            Network{2, 256, 0}, Network{17, 5, 0},
-                            Network{2, 8, 32}, Network{2, 80, 32}}) {
+                            Network{2, 256, 0}, Network{2, 400, 0},
+                            Network{17, 5, 0}, Network{2, 8, 32},
+                            Network{2, 80, 32}}) {
     const std::string label = "DG(" + std::to_string(net.d) + "," +
                               std::to_string(net.k) + ") cache " +
                               std::to_string(net.cache_entries);

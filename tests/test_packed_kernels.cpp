@@ -3,7 +3,7 @@
 // the Morris–Pratt implementations in strings/failure.* and
 // strings/matching.*, the suffix-tree search behind core/common_substring,
 // and the brute-force oracles in strings/naive.* — over random words,
-// unequal lengths, both lane widths, and the adversarial word/pair
+// unequal lengths, every cell width, and the adversarial word/pair
 // families of the conformance fuzzer.
 #include <algorithm>
 #include <cstdint>
@@ -35,7 +35,7 @@ void pack_pair(const std::vector<Symbol>& x, const std::vector<Symbol>& y,
   ASSERT_TRUE(strings::try_pack_pair(x, y, px, py));
 }
 
-// Alphabets that land on both lane widths, and length caps that reach the
+// Alphabets that land on every cell width, and length caps that reach the
 // lane boundary for each.
 struct AlphabetParam {
   std::uint32_t alphabet;
@@ -43,29 +43,40 @@ struct AlphabetParam {
 };
 
 std::vector<AlphabetParam> alphabet_grid() {
-  return {{1, 64}, {2, 64}, {3, 30}, {4, 64}, {5, 32}, {8, 30}, {16, 32}};
+  return {{1, 128}, {2, 128}, {3, 30}, {4, 64}, {5, 32}, {8, 30}, {16, 32}};
 }
 
 TEST(PackedKernels, WidthSelectionAndPackability) {
-  EXPECT_EQ(strings::packed_width(1), 2u);
+  EXPECT_EQ(strings::packed_width(1), 1u);
+  EXPECT_EQ(strings::packed_width(2), 1u);
+  EXPECT_EQ(strings::packed_width(3), 2u);
   EXPECT_EQ(strings::packed_width(4), 2u);
   EXPECT_EQ(strings::packed_width(5), 4u);
   EXPECT_EQ(strings::packed_width(16), 4u);
   EXPECT_EQ(strings::packed_width(17), 0u);
   // One 128-bit PackedBuf lane.
+  EXPECT_TRUE(strings::packable(2, 128, strings::kLaneBits));
+  EXPECT_FALSE(strings::packable(2, 129, strings::kLaneBits));
   EXPECT_TRUE(strings::packable(4, 64, strings::kLaneBits));
   EXPECT_FALSE(strings::packable(4, 65, strings::kLaneBits));
   EXPECT_TRUE(strings::packable(16, 32, strings::kLaneBits));
   EXPECT_FALSE(strings::packable(16, 33, strings::kLaneBits));
   // The widest lane, 512 bits of limbs, is the default.
+  EXPECT_TRUE(strings::packable(2, 512));
+  EXPECT_FALSE(strings::packable(2, 513));
   EXPECT_TRUE(strings::packable(4, 256));
   EXPECT_FALSE(strings::packable(4, 257));
   EXPECT_TRUE(strings::packable(16, 128));
   EXPECT_FALSE(strings::packable(16, 129));
   EXPECT_FALSE(strings::packable(17, 1));
-  EXPECT_THROW(strings::pack_word(std::vector<Symbol>(65, 0), 2),
+  EXPECT_EQ(strings::pack_word(std::vector<Symbol>(65, 1), 2).width, 1u);
+  EXPECT_THROW(strings::pack_word(std::vector<Symbol>(129, 0), 2),
                ContractViolation);
-  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(257, 0), 2),
+  EXPECT_THROW(strings::pack_word(std::vector<Symbol>(65, 0), 4),
+               ContractViolation);
+  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(513, 0), 2),
+               ContractViolation);
+  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(257, 0), 4),
                ContractViolation);
 }
 
@@ -165,7 +176,7 @@ TEST(PackedKernels, BoundedSweepIsExactBelowTheBound) {
   DBN_SEEDED_RNG(rng, 0xb0b0);
   for (int trial = 0; trial < 400; ++trial) {
     const std::uint32_t alphabet = trial % 2 == 0 ? 2 : 5 + rng.below(12);
-    const std::size_t k = 1 + rng.below(alphabet <= 4 ? 64 : 32);
+    const std::size_t k = 1 + rng.below(alphabet == 2 ? 128 : 32);
     const std::vector<Symbol> x = testing::random_symbols(rng, k, alphabet);
     const std::vector<Symbol> y = testing::random_symbols(rng, k, alphabet);
     PackedBuf px, py;
@@ -189,19 +200,21 @@ TEST(PackedKernels, BoundedSweepIsExactBelowTheBound) {
 }
 
 TEST(PackedKernels, SideMinimumAtEveryLimbEdge) {
-  // Both sides of every 64-bit limb boundary, of the 4-to-8-limb switch
-  // and of the lane's end, where a dropped carry or a mask off by one
-  // limb would hide. Each pair of every word/pair family runs through the
-  // wide lane, and through the 128-bit lane too when it fits, against the
-  // scalar scan: exact cost, a valid witness, the reversed words the r
-  // side sweeps, and the bounded sweep below and above its bound.
+  // Both sides of 64-bit limb boundaries, of the 64-bit-to-128-bit and
+  // 4-to-8-limb switches and of the lane's end, where a dropped carry or
+  // a mask off by one limb would hide. Each pair of every word/pair
+  // family runs through the wide lane, and through the 128-bit lane too
+  // when it fits, against the scalar scan: exact cost, a valid witness,
+  // the reversed words the r side sweeps, and the bounded sweep below and
+  // above its bound.
   struct Edges {
     std::vector<std::uint32_t> alphabets;
     std::vector<std::size_t> ks;
   };
   const std::vector<Edges> edges = {
-      {{2, 4}, {32, 33, 64, 65, 96, 97, 128, 129, 255, 256}},  // width 2
-      {{5, 16}, {16, 17, 32, 33, 64, 65, 127, 128}},           // width 4
+      {{2}, {64, 65, 128, 129, 192, 193, 256, 257, 511, 512}},  // width 1
+      {{3, 4}, {32, 33, 64, 65, 96, 97, 128, 129, 255, 256}},   // width 2
+      {{5, 16}, {16, 17, 32, 33, 64, 65, 127, 128}},            // width 4
   };
   DBN_SEEDED_RNG(rng, 0x11b5);
   for (const Edges& e : edges) {
@@ -254,9 +267,12 @@ TEST(PackedKernels, SideMinimumAtEveryLimbEdge) {
   }
   // One length past the widest lane at each width does not pack, so the
   // engine takes the scalar scan there.
-  EXPECT_FALSE(strings::packable(2, 257));
+  EXPECT_FALSE(strings::packable(2, 513));
+  EXPECT_FALSE(strings::packable(4, 257));
   EXPECT_FALSE(strings::packable(16, 129));
-  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(257, 1), 2),
+  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(513, 1), 2),
+               ContractViolation);
+  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(257, 1), 4),
                ContractViolation);
   EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(129, 1), 16),
                ContractViolation);

@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/contract.hpp"
@@ -83,6 +85,38 @@ TEST(RoutingPath, RandomWalkMatchesManualShifts) {
     EXPECT_EQ(path.apply(w), expected);
     EXPECT_EQ(path.length(), 12u);
   }
+}
+
+TEST(RoutingPath, ReachesAgreesWithApply) {
+  // The allocation-free replay the route audit runs: on random walks with
+  // wildcards, longer and shorter than the word, it accepts exactly the
+  // word apply() reaches and rejects one changed digit of it.
+  Rng rng(67);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::uint32_t d = 2 + trial % 3;
+    const std::size_t k = 1 + rng.below(10);
+    const Word x = testing::random_word(rng, d, k);
+    RoutingPath path;
+    const std::size_t hops = rng.below(3 * k);
+    for (std::size_t h = 0; h < hops; ++h) {
+      const Digit a =
+          rng.chance(0.2) ? kWildcard : static_cast<Digit>(rng.below(d));
+      path.push({rng.chance(0.5) ? ShiftType::Left : ShiftType::Right, a});
+    }
+    const Word reached = path.apply(x);
+    EXPECT_TRUE(path.reaches(x, reached)) << path.to_string();
+    const std::size_t i = rng.below(k);
+    std::vector<Digit> digits(reached.symbols().begin(),
+                              reached.symbols().end());
+    digits[i] = (digits[i] + 1) % d;
+    EXPECT_FALSE(path.reaches(x, Word(d, digits))) << path.to_string();
+  }
+  // Out-of-range digits, where apply throws, and mismatched shapes.
+  const Word x(2, {0, 1});
+  EXPECT_FALSE(RoutingPath({{ShiftType::Left, 5}}).reaches(x, Word(2, {1, 1})));
+  EXPECT_FALSE(RoutingPath{}.reaches(x, Word(2, {0, 1, 1})));
+  EXPECT_FALSE(RoutingPath{}.reaches(x, Word(3, {0, 1})));
+  EXPECT_TRUE(RoutingPath{}.reaches(x, x));
 }
 
 }  // namespace

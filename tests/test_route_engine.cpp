@@ -32,11 +32,12 @@ TEST(RouteEngine, MatchesAllocatingRouterOnRandomPairs) {
 }
 
 TEST(RouteEngine, MatchesAllocatingRouterPastOneLane) {
-  // Words past one 128-bit lane: the 4- and 8-limb lanes (d <= 4 up to
-  // k = 256, d = 16 up to k = 128), then the in-place scan just past the
-  // widest lane and for d > 16. Every word and pair family, so runs cross
-  // limb boundaries at many offsets, not only the baseline.
-  BidirectionalRouteEngine engine(257);
+  // Words past one 64-bit lane: the 128-bit lane (d = 2 up to k = 128 at
+  // one bit per cell), the 4- and 8-limb lanes (d = 2 up to k = 512,
+  // d <= 4 up to k = 256, d = 16 up to k = 128), then the in-place scan
+  // just past the widest lane and for d > 16. Every word and pair family,
+  // so runs cross limb boundaries at many offsets, not only the baseline.
+  BidirectionalRouteEngine engine(513);
   DBN_SEEDED_RNG(rng, 0x1a4e);
   RoutingPath path;
   const auto check = [&](std::uint32_t d, std::size_t k) {
@@ -65,10 +66,12 @@ TEST(RouteEngine, MatchesAllocatingRouterPastOneLane) {
       check(d, k);
     }
   }
+  check(2, 257);
+  check(2, 512);
   for (const std::size_t k : {33u, 64u, 128u}) {
     check(16, k);
   }
-  check(2, 257);
+  check(2, 513);
   check(16, 129);
   check(20, 6);
 }
