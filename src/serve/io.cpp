@@ -38,7 +38,8 @@ int serve_stdio(RouteServer& server, std::istream& in, std::ostream& out) {
         const MutexLock lock(out_mutex);
         out.write(frames.data(),
                   static_cast<std::streamsize>(frames.size()));
-        // Closed-loop clients wait on each response: flush per send.
+        // Closed-loop clients wait on their responses: flush every write
+        // (the dispatcher writes once per connection per batch).
         out.flush();
       });
   std::vector<char> buffer(kReadChunk);

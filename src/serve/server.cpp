@@ -41,20 +41,20 @@ bool Connection::feed(std::string_view bytes) {
     return false;
   }
   reader_.feed(bytes);
+  const std::shared_ptr<Connection> self = shared_from_this();
   std::string payload;
   for (;;) {
-    switch (reader_.next(payload)) {
-      case FrameReader::Result::NeedMore:
+    const FrameReader::Result next = reader_.next(payload);
+    if (next != FrameReader::Result::Frame) {
+      server_->admit(admitting_);
+      if (next == FrameReader::Result::NeedMore) {
         return true;
-      case FrameReader::Result::Error:
-        failed_ = true;
-        server_->note_protocol_error();
-        return false;
-      case FrameReader::Result::Frame:
-        break;
+      }
+      failed_ = true;
+      server_->note_protocol_error();
+      return false;
     }
-    const DecodedRequest decoded = decode_request(payload);
-    const std::shared_ptr<Connection> self = shared_from_this();
+    DecodedRequest decoded = decode_request(payload);
     if (decoded.error != DecodeError::None) {
       // Frame-aligned but undecodable: the stream itself is still sound,
       // so answer BadRequest and keep the connection. The id is only
@@ -65,7 +65,21 @@ bool Connection::feed(std::string_view bytes) {
       server_->reject_undecodable(self, id, decode_error_name(decoded.error));
       continue;
     }
-    server_->admit(self, decoded.request);
+    Request& request = decoded.request;
+    if (request.type != RequestType::Route &&
+        request.type != RequestType::Distance) {
+      // The routed requests decoded before a control request are admitted
+      // first, so an Introspect probe counts them.
+      server_->admit(admitting_);
+      server_->answer_control(self, request);
+      continue;
+    }
+    obs::Span span = server_->request_span(*this, request);
+    admitting_.push_back(
+        Pending{self, std::move(request), {}, std::move(span)});
+    if (admitting_.size() == server_->config_.max_batch) {
+      server_->admit(admitting_);
+    }
   }
 }
 
@@ -82,11 +96,12 @@ bool Connection::clean() const {
   return !failed_ && reader_.pending_bytes() == 0;
 }
 
-void Connection::send(std::string_view frames) {
-  responses_.fetch_add(1, std::memory_order_relaxed);
+void Connection::send(std::string_view frames, std::uint64_t count) {
+  responses_.fetch_add(count, std::memory_order_relaxed);
   const MutexLock lock(write_mutex_);
   if (sink_) {
     sink_(frames);
+    server_->metrics_writes_.inc();
   }
 }
 
@@ -120,6 +135,7 @@ RouteServer::RouteServer(const ServeConfig& config)
   metrics_draining_ = registry.counter("serve.rejected_draining");
   metrics_protocol_errors_ = registry.counter("serve.protocol_errors");
   metrics_batches_ = registry.counter("serve.batches");
+  metrics_writes_ = registry.counter("serve.writes");
   metrics_connections_ = registry.counter("serve.connections");
   metrics_slow_ = registry.counter(schema::metric::kServeSlowRequests);
   metrics_batch_size_ =
@@ -217,18 +233,16 @@ void RouteServer::note_protocol_error() {
   metrics_protocol_errors_.inc();
 }
 
-void RouteServer::respond_error(const std::shared_ptr<Connection>& conn,
-                                RequestType type, std::uint64_t id,
-                                Status status, std::string_view message) {
+void RouteServer::encode_error(RequestType type, std::uint64_t id,
+                               Status status, std::string_view message,
+                               std::string& out) {
   if (obs::tracing_enabled()) {
     obs::instant("serve_reject", "serve", obs::TraceClock::Wall,
                  obs::wall_ts_micros(),
                  {obs::targ("status", status_name(status)),
                   obs::targ("id", id)});
   }
-  std::string frame;
-  encode_error_response(type, status, id, message, frame);
-  conn->send(frame);
+  encode_error_response(type, status, id, message, out);
 }
 
 void RouteServer::reject_undecodable(const std::shared_ptr<Connection>& conn,
@@ -240,100 +254,107 @@ void RouteServer::reject_undecodable(const std::shared_ptr<Connection>& conn,
     ++stats_.rejected_undecodable;
   }
   metrics_bad_request_.inc();
-  respond_error(conn, RequestType::Ping, id, Status::BadRequest, message);
+  std::string frame;
+  encode_error(RequestType::Ping, id, Status::BadRequest, message, frame);
+  conn->send(frame, 1);
 }
 
-void RouteServer::admit(const std::shared_ptr<Connection>& conn,
-                        Request request) {
+void RouteServer::answer_control(const std::shared_ptr<Connection>& conn,
+                                 const Request& request) {
   conn->requests_.fetch_add(1, std::memory_order_relaxed);
   metrics_requests_.inc();
-  switch (request.type) {
-    case RequestType::Ping:
-    case RequestType::Stats:
-    case RequestType::Introspect: {
-      // Control requests answer inline on the reader thread — the probe
-      // path stays responsive no matter how deep the routed queue is. The
-      // request/response pair is counted in one lock hold *after* the
-      // answer is built, so a concurrent probe never sees a half-counted
-      // control request (and a probe's own snapshot excludes itself).
-      std::string body;
-      if (request.type == RequestType::Stats) {
-        body = obs::MetricsRegistry::global().snapshot().to_json();
-      } else if (request.type == RequestType::Introspect) {
-        body = introspect_json(*this);
-      }
-      std::string frame;
-      encode_ok_response(request.type, request.id, body, frame);
-      conn->send(frame);
-      {
-        const MutexLock lock(mutex_);
-        ++stats_.requests;
-        ++stats_.responses_ok;
-      }
-      metrics_ok_.inc();
-      return;
-    }
-    case RequestType::Route:
-    case RequestType::Distance:
-      break;
+  // Control requests answer inline on the reader thread — the probe path
+  // stays responsive no matter how deep the routed queue is. The
+  // request/response pair is counted in one lock hold *after* the answer
+  // is built, so a concurrent probe never sees a half-counted control
+  // request (and a probe's own snapshot excludes itself).
+  std::string body;
+  if (request.type == RequestType::Stats) {
+    body = obs::MetricsRegistry::global().snapshot().to_json();
+  } else if (request.type == RequestType::Introspect) {
+    body = introspect_json(*this);
   }
+  std::string frame;
+  encode_ok_response(request.type, request.id, body, frame);
+  conn->send(frame, 1);
+  {
+    const MutexLock lock(mutex_);
+    ++stats_.requests;
+    ++stats_.responses_ok;
+  }
+  metrics_ok_.inc();
+}
+
+obs::Span RouteServer::request_span(const Connection& conn,
+                                    const Request& request) const {
   obs::Span span;
   if (obs::tracing_enabled() && sampler_.sampled(request.id)) {
     span = obs::Span::begin("serve_request", "serve", obs::TraceClock::Wall,
                             obs::wall_ts_micros());
     span.arg(obs::targ("id", request.id));
-    span.arg(obs::targ("conn", conn->id()));
+    span.arg(obs::targ("conn", conn.id()));
     span.arg(obs::targ("type", request.type == RequestType::Route
                                    ? "route"
                                    : "distance"));
     span.instant("admit", obs::wall_ts_micros());
   }
-  // Admission for routed work happens under the queue mutex so the
-  // draining check, the push, and the counter movement are one atomic
-  // transition — an admitted request is always answered, and any locked
-  // reader sees requests == answered + queued + inflight balance.
-  enum class Verdict { Accepted, Overloaded, Draining };
-  Verdict verdict = Verdict::Accepted;
-  const RequestType type = request.type;
-  const std::uint64_t id = request.id;
+  return span;
+}
+
+void RouteServer::admit(std::vector<Pending>& admitting) {
+  if (admitting.empty()) {
+    return;
+  }
+  Connection& conn = *admitting.front().conn;
+  conn.requests_.fetch_add(admitting.size(), std::memory_order_relaxed);
+  metrics_requests_.inc(admitting.size());
+  // Admission happens under the queue mutex so each request's draining
+  // check, its push and the counter movement are one atomic transition —
+  // an admitted request is always answered, and any locked reader sees
+  // requests == answered + queued + inflight balance. The checks run per
+  // request, in order; the draining flag cannot change and the queue
+  // cannot shrink during the hold, so the first refusal refuses the rest.
+  std::size_t accepted = 0;
+  bool draining = false;
   {
     const MutexLock lock(mutex_);
-    ++stats_.requests;
-    if (draining_.load(std::memory_order_relaxed)) {
-      verdict = Verdict::Draining;
-      ++stats_.rejected_draining;
-    } else if (queue_.size() >= config_.queue_capacity) {
-      verdict = Verdict::Overloaded;
-      ++stats_.rejected_overload;
-    } else {
-      queue_.push_back(Pending{conn, std::move(request),
-                               std::chrono::steady_clock::now(),
-                               std::move(span)});
-      metrics_queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
+    draining = draining_.load(std::memory_order_relaxed);
+    const auto enqueued = std::chrono::steady_clock::now();
+    for (Pending& pending : admitting) {
+      if (draining || queue_.size() >= config_.queue_capacity) {
+        break;
+      }
+      pending.enqueued = enqueued;
+      queue_.push_back(std::move(pending));
+      ++accepted;
     }
+    stats_.requests += admitting.size();
+    (draining ? stats_.rejected_draining : stats_.rejected_overload) +=
+        admitting.size() - accepted;
+    metrics_queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
   }
-  switch (verdict) {
-    case Verdict::Accepted:
-      queue_cv_.notify_one();
-      return;
-    case Verdict::Overloaded:
-      metrics_overload_.inc();
-      if (span) {
-        span.arg(obs::targ("status", status_name(Status::Overloaded)));
-        span.end(obs::wall_ts_micros());
-      }
-      respond_error(conn, type, id, Status::Overloaded,
-                    "request queue full");
-      return;
-    case Verdict::Draining:
-      metrics_draining_.inc();
-      if (span) {
-        span.arg(obs::targ("status", status_name(Status::Draining)));
-        span.end(obs::wall_ts_micros());
-      }
-      respond_error(conn, type, id, Status::Draining, "server is draining");
-      return;
+  if (accepted > 0) {
+    queue_cv_.notify_one();
   }
+  const std::size_t refused = admitting.size() - accepted;
+  if (refused > 0) {
+    const Status status = draining ? Status::Draining : Status::Overloaded;
+    const std::string_view message =
+        draining ? "server is draining" : "request queue full";
+    (draining ? metrics_draining_ : metrics_overload_).inc(refused);
+    std::string frames;
+    for (std::size_t i = accepted; i < admitting.size(); ++i) {
+      Pending& pending = admitting[i];
+      if (pending.span) {
+        pending.span.arg(obs::targ("status", status_name(status)));
+        pending.span.end(obs::wall_ts_micros());
+      }
+      encode_error(pending.request.type, pending.request.id, status, message,
+                   frames);
+    }
+    conn.send(frames, refused);
+  }
+  admitting.clear();
 }
 
 void RouteServer::dispatcher_main() {
@@ -379,32 +400,27 @@ void RouteServer::process_batch(std::vector<Pending>& batch,
       }
     }
   }
-  // Wire-validate and partition into the engine's two batch shapes. A slot
-  // of -1 marks a request answered as BadRequest below.
+  // Wire-validate and move the words into the engine's two batch shapes.
+  // slot_of[i] is request i's index in its shape; -1 marks a request
+  // answered as BadRequest below.
   scratch.route_queries.clear();
-  scratch.route_slots.clear();
   scratch.distance_queries.clear();
-  scratch.distance_slots.clear();
   scratch.slot_of.assign(batch.size(), -1);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Request& request = batch[i].request;
     if (request.x.size() != config_.k || request.y.size() != config_.k) {
       continue;
     }
-    const std::optional<Word> x = word_from_wire(config_.d, request.x);
-    const std::optional<Word> y = word_from_wire(config_.d, request.y);
+    std::optional<Word> x = word_from_wire(config_.d, request.x);
+    std::optional<Word> y = word_from_wire(config_.d, request.y);
     if (!x || !y) {
       continue;
     }
-    if (request.type == RequestType::Route) {
-      scratch.slot_of[i] = static_cast<int>(scratch.route_queries.size());
-      scratch.route_queries.push_back(RouteQuery{*x, *y});
-      scratch.route_slots.push_back(i);
-    } else {
-      scratch.slot_of[i] = static_cast<int>(scratch.distance_queries.size());
-      scratch.distance_queries.push_back(RouteQuery{*x, *y});
-      scratch.distance_slots.push_back(i);
-    }
+    std::vector<RouteQuery>& shape = request.type == RequestType::Route
+                                         ? scratch.route_queries
+                                         : scratch.distance_queries;
+    scratch.slot_of[i] = static_cast<int>(shape.size());
+    shape.push_back(RouteQuery{std::move(*x), std::move(*y)});
   }
   if (!scratch.route_queries.empty()) {
     engine_.route_batch_into(scratch.route_queries, scratch.paths);
@@ -422,59 +438,70 @@ void RouteServer::process_batch(std::vector<Pending>& batch,
       }
     }
   }
-  // Answer in admission order; per-connection responses therefore arrive
-  // in the order the requests were accepted.
-  std::uint64_t n_ok = 0;
+  // Encode every answer in admission order into its connection's outbound
+  // buffer, so each connection's answers arrive in the order its requests
+  // were accepted.
   std::uint64_t n_bad = 0;
+  scratch.writers.clear();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Request& request = batch[i].request;
+    Connection& conn = *batch[i].conn;
+    if (conn.outbound_frames_++ == 0) {
+      scratch.writers.push_back(&conn);
+    }
+    if (scratch.slot_of[i] < 0) {
+      ++n_bad;
+      encode_error(request.type, request.id, Status::BadRequest,
+                   "word does not name a vertex", conn.outbound_);
+      continue;
+    }
+    const auto slot = static_cast<std::size_t>(scratch.slot_of[i]);
+    if (request.type == RequestType::Route) {
+      encode_route_response(request.id, scratch.paths[slot], conn.outbound_);
+    } else {
+      encode_distance_response(
+          request.id, static_cast<std::uint32_t>(scratch.distances[slot]),
+          conn.outbound_);
+    }
+  }
+  for (Connection* conn : scratch.writers) {
+    conn->send(conn->outbound_, conn->outbound_frames_);
+    conn->written_ = std::chrono::steady_clock::now();
+    conn->written_us_ = traced ? obs::wall_ts_micros() : 0.0;
+    conn->outbound_.clear();
+    conn->outbound_frames_ = 0;
+  }
+  // Each latency stops when its connection's write returned, so it covers
+  // encoding and the write (a client that stalls its socket shows here).
   std::uint64_t n_slow = 0;
-  std::string frame;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Pending& pending = batch[i];
+    const Connection& conn = *pending.conn;
     const Request& request = pending.request;
-    const bool bad = scratch.slot_of[i] < 0;
-    if (bad) {
-      ++n_bad;
-      respond_error(pending.conn, request.type, request.id,
-                    Status::BadRequest, "word does not name a vertex");
-    } else {
-      frame.clear();
-      const auto slot = static_cast<std::size_t>(scratch.slot_of[i]);
-      if (request.type == RequestType::Route) {
-        encode_route_response(request.id, scratch.paths[slot], frame);
-      } else {
-        encode_distance_response(
-            request.id, static_cast<std::uint32_t>(scratch.distances[slot]),
-            frame);
-      }
-      pending.conn->send(frame);
-      ++n_ok;
-    }
-    // Stamped after the frame went to the sink, so the latency covers
-    // encoding and the write (a client that stalls its socket shows here).
-    const double waited_us =
-        elapsed_us(pending.enqueued, std::chrono::steady_clock::now());
+    const double waited_us = elapsed_us(pending.enqueued, conn.written_);
     metrics_latency_us_.observe(waited_us);
-    if (slow_log_.note(SlowRecord{request.id, pending.conn->id(),
-                                  request.type, waited_us,
+    if (slow_log_.note(SlowRecord{request.id, conn.id(), request.type,
+                                  waited_us,
                                   elapsed_us(pending.enqueued, dispatched),
                                   route_us, batch.size()})) {
       ++n_slow;
       metrics_slow_.inc();
       if (pending.span) {
-        pending.span.instant("slow", obs::wall_ts_micros());
+        pending.span.instant("slow", conn.written_us_);
       }
     }
     if (pending.span) {
-      const double now_us = obs::wall_ts_micros();
-      pending.span.instant("respond", now_us);
+      const bool bad = scratch.slot_of[i] < 0;
+      pending.span.instant("respond", conn.written_us_);
       pending.span.arg(obs::targ(
           "status", status_name(bad ? Status::BadRequest : Status::Ok)));
       pending.span.arg(obs::targ("latency_us", waited_us));
       pending.span.arg(
           obs::targ("batch", static_cast<std::uint64_t>(batch.size())));
-      pending.span.end(now_us);
+      pending.span.end(conn.written_us_);
     }
   }
+  const std::uint64_t n_ok = batch.size() - n_bad;
   {
     const MutexLock lock(mutex_);
     stats_.responses_ok += n_ok;

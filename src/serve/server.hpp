@@ -5,11 +5,14 @@
 // API into a daemon:
 //
 //   reader threads ──feed()──> bounded request queue ──> dispatcher thread
-//                                                           │ micro-batches
-//                                                           ▼
+//   (one lock hold per up to                                │ micro-batches
+//    max_batch requests)                                    ▼
 //                                                   BatchRouteEngine
-//                                                           │ responses
-//                                                           ▼
+//                                                           │ answers, in
+//                                                           ▼ admission order
+//                                       per-connection outbound buffers
+//                                                           │ one write
+//                                                           ▼ per batch
 //                                              per-connection sinks
 //
 // Transport is someone else's job: a Connection is created per client with
@@ -108,9 +111,10 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Receives one or more complete, encoded response frames.
   using ResponseSink = std::function<void(std::string_view frames)>;
 
-  /// Parses `bytes` (any fragmentation) and admits complete requests.
-  /// Returns false once the connection hit a fatal framing error — the
-  /// transport should close it (no resync is possible).
+  /// Parses `bytes` (any fragmentation) and admits complete requests, all
+  /// of them before it returns. Returns false once the connection hit a
+  /// fatal framing error — the transport should close it (no resync is
+  /// possible).
   bool feed(std::string_view bytes);
 
   /// Detaches the sink: responses for still-queued requests are computed
@@ -138,12 +142,33 @@ class Connection : public std::enable_shared_from_this<Connection> {
   Connection(RouteServer* server, std::uint64_t id, ResponseSink sink)
       : server_(server), id_(id), sink_(std::move(sink)) {}
 
-  void send(std::string_view frames);
+  /// A routed request on its way to, or in, the server's queue. It holds
+  /// its connection, so a Connection outlives its unanswered requests.
+  struct Pending {
+    std::shared_ptr<Connection> conn;
+    Request request;
+    std::chrono::steady_clock::time_point enqueued;
+    obs::Span span;  // live only for sampled requests under tracing
+  };
+
+  /// Writes `count` whole response frames through the sink in one call.
+  void send(std::string_view frames, std::uint64_t count);
 
   RouteServer* server_;
   const std::uint64_t id_;
   FrameReader reader_;
   bool failed_ = false;
+  // Reader-thread only: the routed requests feed() decoded and has not yet
+  // admitted. Empty whenever feed() returns (its entries hold this
+  // connection, and serve_tcp reaps a client only once nothing else does).
+  std::vector<Pending> admitting_;
+  // Dispatcher-thread only: the current batch's answers for this
+  // connection, and when their one write returned (steady and trace
+  // clocks), which is when their latency stops.
+  std::string outbound_;
+  std::uint64_t outbound_frames_ = 0;
+  std::chrono::steady_clock::time_point written_;
+  double written_us_ = 0.0;
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> responses_{0};
   Mutex write_mutex_;  // serializes reader-thread and dispatcher sends
@@ -202,34 +227,35 @@ class RouteServer {
 
  private:
   friend class Connection;
+  using Pending = Connection::Pending;
 
-  struct Pending {
-    std::shared_ptr<Connection> conn;
-    Request request;
-    std::chrono::steady_clock::time_point enqueued;
-    obs::Span span;  // live only for sampled requests under tracing
-  };
-
-  // Dispatcher-thread scratch, reused across micro-batches so the warmed
-  // steady state allocates only inside response frame encoding.
+  // Dispatcher-thread scratch, reused across micro-batches: the decoded
+  // words move into the engine's two batch shapes, and `writers` lists the
+  // connections this batch answers, in the order of their first answer.
   struct BatchScratch {
     std::vector<RouteQuery> route_queries;
-    std::vector<std::size_t> route_slots;
     std::vector<RouteQuery> distance_queries;
-    std::vector<std::size_t> distance_slots;
     std::vector<int> slot_of;
     std::vector<RoutingPath> paths;
     std::vector<int> distances;
+    std::vector<Connection*> writers;
   };
 
-  /// One decoded request from a connection's reader thread. Responds
-  /// inline (control/reject) or enqueues (route/distance).
-  void admit(const std::shared_ptr<Connection>& conn, Request request);
-  /// Encodes and sends one error frame (no counting: every counter commits
-  /// at its decision site under mutex_, keeping snapshots exact).
-  void respond_error(const std::shared_ptr<Connection>& conn,
-                     RequestType type, std::uint64_t id, Status status,
-                     std::string_view message);
+  /// A span for a routed request when tracing samples it, else an empty one.
+  obs::Span request_span(const Connection& conn,
+                         const Request& request) const;
+  /// Admits one connection's decoded routed requests in order, under one
+  /// queue-lock hold, then answers those it refused (Overloaded/Draining)
+  /// in one write. Leaves `admitting` empty.
+  void admit(std::vector<Pending>& admitting);
+  /// Answers a Ping/Stats/Introspect inline on the reader thread.
+  void answer_control(const std::shared_ptr<Connection>& conn,
+                      const Request& request);
+  /// Appends one error frame to `out` and marks it in the trace (no
+  /// counting: every counter commits at its decision site under mutex_,
+  /// keeping snapshots exact).
+  static void encode_error(RequestType type, std::uint64_t id, Status status,
+                           std::string_view message, std::string& out);
   /// The undecodable-frame path out of Connection::feed (counts the
   /// BadRequest answer without counting a request).
   void reject_undecodable(const std::shared_ptr<Connection>& conn,
@@ -273,6 +299,7 @@ class RouteServer {
   obs::Counter metrics_draining_;
   obs::Counter metrics_protocol_errors_;
   obs::Counter metrics_batches_;
+  obs::Counter metrics_writes_;
   obs::Counter metrics_connections_;
   obs::Counter metrics_slow_;
   obs::Histogram metrics_batch_size_;

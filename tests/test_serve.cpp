@@ -2,8 +2,8 @@
 // every malformed-frame class), RouteServer request handling against the
 // reference routers, bounded-queue backpressure, drain semantics, and a
 // seeded concurrent-client determinism check (same seed, same per-client
-// response bytes, run twice), and the TCP transport's reaping of clients
-// that disconnect.
+// response bytes, run twice), one write per connection per batch, and the
+// TCP transport's reaping of clients that disconnect or break framing.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -30,6 +30,7 @@
 #include "core/path.hpp"
 #include "core/routers.hpp"
 #include "debruijn/word.hpp"
+#include "obs/metrics.hpp"
 #include "serve/io.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -71,24 +72,38 @@ std::vector<Response> decode_stream(std::string_view bytes) {
   return out;
 }
 
-/// A test client: captures every response frame the server sends it.
+/// A test client: captures every response frame the server sends it, and
+/// counts the sink calls that delivered them.
 struct Client {
   explicit Client(RouteServer& server) {
     conn = server.connect([this](std::string_view frames) {
       const std::lock_guard<std::mutex> lock(mutex);
       bytes.append(frames);
+      ++writes;
     });
   }
   std::string snapshot() {
     const std::lock_guard<std::mutex> lock(mutex);
     return bytes;
   }
+  std::size_t write_count() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    return writes;
+  }
   std::vector<Response> responses() { return decode_stream(snapshot()); }
 
   std::mutex mutex;
   std::string bytes;
+  std::size_t writes = 0;
   std::shared_ptr<Connection> conn;
 };
+
+/// The global registry's serve.writes counter (one per sink call).
+std::uint64_t serve_writes() {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  const obs::MetricSnapshot* writes = snap.find("serve.writes");
+  return writes == nullptr ? 0 : writes->count;
+}
 
 bool replay_lands_on(const Word& x, const Word& y,
                      const std::vector<Hop>& hops) {
@@ -312,6 +327,59 @@ TEST(ServeServer, RoutesAndDistancesMatchReferenceRouters) {
   EXPECT_EQ(stats.rejected_overload + stats.rejected_bad_request +
                 stats.rejected_draining + stats.protocol_errors,
             0u);
+}
+
+// The dispatcher answers a batch with one write per connection. One feed
+// of 600 requests is admitted in whole chunks of max_batch (256), and each
+// pop takes min(256, queue depth), so whatever the timing the batches hold
+// 256, 256 and 88 requests and the sink fires exactly three times.
+TEST(ServeServer, AnswersEachBatchWithOneWritePerConnection) {
+  ServeConfig config;
+  config.d = 2;
+  config.k = 10;
+  ASSERT_EQ(config.max_batch, 256u);
+  ASSERT_EQ(config.queue_capacity, 1024u);
+  RouteServer server(config);
+  Client client(server);
+
+  constexpr std::uint64_t kRequests = 600;
+  Rng rng(19);
+  std::vector<std::pair<Word, Word>> pairs;
+  std::string stream;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const Word x = random_word(rng, config.d, config.k);
+    const Word y = random_word(rng, config.d, config.k);
+    if (i % 4 == 0) {
+      encode_distance_request(i, x, y, stream);
+    } else {
+      encode_route_request(i, x, y, stream);
+    }
+    pairs.emplace_back(x, y);
+  }
+  const std::uint64_t writes_before = serve_writes();
+  ASSERT_TRUE(client.conn->feed(stream));
+  server.wait_drained();
+
+  EXPECT_EQ(client.write_count(), 3u);
+  EXPECT_EQ(serve_writes() - writes_before, 3u);
+  EXPECT_EQ(client.conn->response_count(), kRequests);
+  const std::vector<Response> responses = client.responses();
+  ASSERT_EQ(responses.size(), kRequests);
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const Response& r = responses[i];
+    ASSERT_EQ(r.id, i);
+    ASSERT_EQ(r.status, Status::Ok) << r.body;
+    const auto& [x, y] = pairs[i];
+    const int expected = undirected_distance(x, y);
+    if (i % 4 == 0) {
+      EXPECT_EQ(r.type, RequestType::Distance);
+      EXPECT_EQ(static_cast<int>(r.distance), expected);
+    } else {
+      EXPECT_EQ(r.type, RequestType::Route);
+      EXPECT_TRUE(replay_lands_on(x, y, r.hops));
+      EXPECT_EQ(static_cast<int>(r.hops.size()), expected);
+    }
+  }
 }
 
 TEST(ServeServer, DirectedBackendServesOptimalPaths) {
@@ -661,6 +729,23 @@ std::optional<Response> read_response(int fd) {
   return std::nullopt;
 }
 
+/// Reads from `fd` until the peer closes it; false on a 5 s timeout.
+bool wait_for_close(int fd) {
+  char buffer[4096];
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) {
+      continue;
+    }
+    if (::recv(fd, buffer, sizeof(buffer), 0) <= 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// serve_tcp on its own thread; the destructor stops and joins it, so a
 /// failed assertion never leaves it running.
 struct TcpDaemon {
@@ -754,6 +839,58 @@ TEST(ServeTcp, ReapsClientsThatDisconnect) {
   EXPECT_LE(open_fd_count(), baseline + 4);
   EXPECT_TRUE(server.introspect().connections.empty());
   EXPECT_EQ(daemon.shutdown(), 0);
+}
+
+// Routed requests and a framing error in one read: feed() admits the
+// requests it decoded before it reports the error, so once they are
+// answered nothing but the transport holds the Connection, and the client
+// is reaped like any other.
+TEST(ServeTcp, ReapsClientsThatBreakFramingAfterRoutedRequests) {
+  ServeConfig config;
+  config.d = 2;
+  config.k = 4;
+  RouteServer server(config);
+  TcpOptions options;
+  options.port_file = ::testing::TempDir() + "serve_tcp_framing_" +
+                      std::to_string(::getpid()) + ".port";
+  std::remove(options.port_file.c_str());
+  const std::size_t baseline = open_fd_count();
+  TcpDaemon daemon(server, options);
+  const std::uint16_t port = wait_for_port(options.port_file);
+  std::remove(options.port_file.c_str());
+  ASSERT_NE(port, 0);
+
+  std::string bytes;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    encode_route_request(i, make_word(2, "0110"), make_word(2, "1001"),
+                         bytes);
+  }
+  const std::uint32_t huge = kMaxPayload + 1;
+  for (int i = 0; i < 4; ++i) {
+    bytes.push_back(static_cast<char>((huge >> (8 * i)) & 0xFF));
+  }
+  for (int i = 0; i < 50; ++i) {
+    const int fd = connect_loopback(port);
+    ASSERT_GE(fd, 0) << "client " << i;
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+    // The daemon shuts the connection down at the framing error.
+    const bool closed = wait_for_close(fd);
+    ::close(fd);
+    ASSERT_TRUE(closed) << "client " << i;
+  }
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (open_fd_count() > baseline + 4 ||
+          !server.introspect().connections.empty())) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LE(open_fd_count(), baseline + 4);
+  EXPECT_TRUE(server.introspect().connections.empty());
+  EXPECT_EQ(server.stats().protocol_errors, 50u);
+  EXPECT_EQ(daemon.shutdown(), 1);  // every one of them parted uncleanly
 }
 
 }  // namespace

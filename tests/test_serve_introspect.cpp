@@ -4,6 +4,7 @@
 // deterministic trace sampling, and the slow-request log's boundaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -158,6 +159,41 @@ TEST(ServeIntrospect, ProbeAnswersInlineWithIntrospectDocument) {
   server.wait_drained();
 }
 
+// A probe in the same read as routed requests counts them: feed() admits
+// the requests it decoded before a control request first.
+TEST(ServeIntrospect, ProbeInMidReadCountsTheRequestsBeforeIt) {
+  ServeConfig config;
+  config.d = 2;
+  config.k = 8;
+  RouteServer server(config);
+  Client client(server);
+  Rng rng(43);
+  std::string stream;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    encode_route_request(i, random_word(rng, config.d, config.k),
+                         random_word(rng, config.d, config.k), stream);
+  }
+  encode_control_request(RequestType::Introspect, 999, stream);
+  ASSERT_TRUE(client.conn->feed(stream));
+  server.wait_drained();
+
+  const std::vector<Response> responses = client.responses();
+  ASSERT_EQ(responses.size(), 21u);
+  const auto probe =
+      std::find_if(responses.begin(), responses.end(),
+                   [](const Response& r) { return r.id == 999; });
+  ASSERT_NE(probe, responses.end());
+  const auto doc = obs::json_parse(probe->body);
+  ASSERT_TRUE(doc.has_value());
+  const obs::JsonValue* stats = doc->find("stats");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->number_at("requests"), 20.0);
+  const obs::JsonValue* conns = doc->find("connections");
+  ASSERT_NE(conns, nullptr);
+  ASSERT_EQ(conns->items.size(), 1u);
+  EXPECT_EQ(conns->items[0].number_at("requests"), 21.0);
+}
+
 // --- the reconcile guarantee ------------------------------------------------
 
 TEST(ServeIntrospect, SnapshotIdentityHoldsMidFloodAndPostDrain) {
@@ -166,7 +202,10 @@ TEST(ServeIntrospect, SnapshotIdentityHoldsMidFloodAndPostDrain) {
   // the final one — must satisfy the accounting identity exactly; that is
   // the acceptance bar for serving a live probe without stopping the
   // dispatcher. After the drain, the same identity must close with empty
-  // queue and nothing in flight.
+  // queue and nothing in flight. Each feed carries several frames, one of
+  // them a word the dispatcher answers BadRequest (a wrong k or a digit out
+  // of range), so admission takes several requests per lock hold and the
+  // dispatcher answers bad words inside its batches.
   ServeConfig config;
   config.d = 2;
   config.k = 12;
@@ -175,6 +214,7 @@ TEST(ServeIntrospect, SnapshotIdentityHoldsMidFloodAndPostDrain) {
   RouteServer server(config);
 
   constexpr std::uint64_t kPerClient = 4000;
+  constexpr std::uint64_t kPerFeed = 8;
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> probes{0};
   std::thread prober([&] {
@@ -194,12 +234,24 @@ TEST(ServeIntrospect, SnapshotIdentityHoldsMidFloodAndPostDrain) {
     clients.emplace_back([&, c] {
       Client& client = *handles[static_cast<std::size_t>(c)];
       Rng rng(1000 + c);
-      std::string frame;
-      for (std::uint64_t i = 0; i < kPerClient; ++i) {
-        frame.clear();
-        encode_route_request(i, random_word(rng, config.d, config.k),
-                             random_word(rng, config.d, config.k), frame);
-        ASSERT_TRUE(client.conn->feed(frame));
+      std::string frames;
+      for (std::uint64_t feed = 0; feed < kPerClient / kPerFeed; ++feed) {
+        frames.clear();
+        for (std::uint64_t j = 0; j < kPerFeed; ++j) {
+          Word x = random_word(rng, config.d, config.k);
+          Word y = random_word(rng, config.d, config.k);
+          if (j == feed % kPerFeed && feed % 2 == 0) {
+            x = random_word(rng, config.d, config.k + 1);
+            y = random_word(rng, config.d, config.k + 1);
+          } else if (j == feed % kPerFeed) {
+            std::vector<Digit> digits(config.k, 0);
+            digits[feed % config.k] = config.d;
+            x = Word(config.d + 1, std::move(digits));
+            y = Word(config.d + 1, std::vector<Digit>(config.k, 0));
+          }
+          encode_route_request(feed * kPerFeed + j, x, y, frames);
+        }
+        ASSERT_TRUE(client.conn->feed(frames));
       }
     });
   }
@@ -217,11 +269,21 @@ TEST(ServeIntrospect, SnapshotIdentityHoldsMidFloodAndPostDrain) {
   EXPECT_EQ(final_snap.inflight, 0u);
   EXPECT_EQ(final_snap.stats.requests, 2 * kPerClient);
   EXPECT_EQ(final_snap.stats.responses_ok +
-                final_snap.stats.rejected_overload,
+                final_snap.stats.rejected_overload +
+                final_snap.stats.rejected_bad_request,
             2 * kPerClient);
-  // Both clients got every answer (served or shed), exactly once.
+  // The first feed admitted finds the queue empty, so at least its bad
+  // word reaches the dispatcher.
+  EXPECT_GT(final_snap.stats.rejected_bad_request, 0u);
+  // Both clients got every answer (served, refused or shed), exactly once.
   for (const auto& client : handles) {
-    EXPECT_EQ(client->responses().size(), kPerClient);
+    std::vector<int> answers(kPerClient, 0);
+    for (const Response& r : client->responses()) {
+      ASSERT_LT(r.id, kPerClient);
+      ++answers[r.id];
+    }
+    EXPECT_EQ(std::count(answers.begin(), answers.end(), 1),
+              static_cast<std::ptrdiff_t>(kPerClient));
   }
 }
 
