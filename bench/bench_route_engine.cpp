@@ -26,10 +26,14 @@
 // pairs — the per-query ablation behind the batch-level bidi-vs-alg1 gate
 // (scripts/bench_report.py --max-bidi-vs-alg1). BM_Engine/128 over
 // BM_Engine/64 and over BM_Engine/32 are the derived engine_k128_vs_k64
-// and engine_k128_vs_k32 rows (--max-engine-k128-vs-k64/-k32): d = 2
-// packs one bit per digit, so the words fill a 64-bit lane up to k = 64,
-// one 128-bit lane at k = 128 and 64-bit limbs past it (eight at
-// k = 512), and the ratios show k = 128 still gets the 1-bit lane.
+// and engine_k128_vs_k32 rows (--max-engine-k128-vs-k64/-k32). Words up
+// to k = 32 run the diagonal pass (strings::side_minima_diagonal); longer
+// ones run the offset sweep, which packs d = 2 at one bit per digit: a
+// 64-bit lane up to k = 64, one 128-bit lane at k = 128 and 64-bit limbs
+// past it (eight at k = 512). engine_k128_vs_k64 compares two sweep lanes
+// and shows k = 128 still gets the 1-bit lane; engine_k128_vs_k32
+// compares the 128-bit lane with the pass and reads 8-24x, so its bound
+// of 20 is within its noise.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -96,6 +100,59 @@ BENCHMARK(BM_EngineDistanceOnly)
     ->RangeMultiplier(2)
     ->Range(4, 512)
     ->Complexity();
+
+// A request stream: each iteration routes the next of 4,096 distinct
+// random DG(2,k) pairs, so the time is ns per pair on pairs the branch
+// predictor has not learnt, as a server sees them. BM_Engine repeats one
+// pair; derived/engine_stream_vs_fixed_k16 is the ratio of the two at
+// k = 16.
+void BM_EngineStream(benchmark::State& state) {
+  constexpr std::size_t kPairs = 4096;
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  Rng rng(k);
+  std::vector<RouteQuery> pairs;
+  pairs.reserve(kPairs);
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    pairs.push_back(RouteQuery{random_word(rng, 2, k), random_word(rng, 2, k)});
+  }
+  BidirectionalRouteEngine engine(k);
+  RoutingPath path;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const RouteQuery& q = pairs[next];
+    engine.route_into(q.x, q.y, WildcardMode::Concrete, path);
+    benchmark::DoNotOptimize(path);
+    next = (next + 1) % kPairs;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EngineStream)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
+
+// The diagonal pass's worst shape: pairs whose common runs reach k - 1, so
+// the pass runs all k of its steps. Iterations alternate (01)^(k/2) vs
+// (10)^(k/2) and 0^k vs 0^(k-1) 1.
+void BM_EnginePeriodic(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  std::vector<Digit> alternating(k), shifted(k), ones_last(k, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    alternating[i] = static_cast<Digit>(i % 2);
+    shifted[i] = static_cast<Digit>((i + 1) % 2);
+  }
+  ones_last.back() = 1;
+  const RouteQuery pairs[] = {
+      RouteQuery{Word(2, alternating), Word(2, shifted)},
+      RouteQuery{Word::zero(2, k), Word(2, ones_last)}};
+  BidirectionalRouteEngine engine(k);
+  RoutingPath path;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    engine.route_into(pairs[next].x, pairs[next].y, WildcardMode::Concrete,
+                      path);
+    benchmark::DoNotOptimize(path);
+    next ^= 1;
+  }
+}
+BENCHMARK(BM_EnginePeriodic)->Arg(16)->Arg(32);
 
 /// Accepts every event and throws it away — isolates the cost of *producing*
 /// trace events from any export format.

@@ -41,8 +41,16 @@ Two subcommands:
            R x (CI uses 30: the O(k^2) scalar scan the packed lanes
            replaced cost over 100x). --max-engine-k128-vs-k32 R fails when
            quadrupling it from 32 to 128 costs more than R x (CI uses 20:
-           one bit per cell keeps k=128 in one 128-bit lane, 6-11x; at two
-           bits per cell it takes four 64-bit limbs, 34-45x).
+           at two bits per cell k=128 takes four 64-bit limbs, 34-45x; one
+           bit per cell keeps it in one 128-bit lane, and with k=32 on the
+           diagonal pass the ratio reads 8-24x, so the bound is within its
+           noise). When BM_EngineStream/16 and BM_Engine/16 are recorded,
+           a derived engine_stream_vs_fixed_k16 ratio is appended: a
+           stream of 4,096 distinct pairs against the one pair BM_Engine
+           repeats. --max-engine-stream-vs-fixed-k16 R fails when the
+           stream costs more than R x (CI uses 2.1: with the offset sweep
+           at k=16 it read 1.9-4.0x, median 2.9, with the diagonal pass
+           0.9-2.0x, median 1.4).
 
   compare  Check a fresh report against a committed baseline and fail
            (exit 1) when any comparable single-thread entry regressed by
@@ -266,17 +274,23 @@ def derive_deflection_cost(rows):
     return ratio
 
 
-def derive_engine_ratio(rows, k_num, k_den):
-    """Appends the derived engine_k<k_num>_vs_k<k_den> row; returns it.
+def derive_engine_ratio(rows, num_row, den_row, name):
+    """Appends the derived row `name`, num_row / den_row; returns it.
 
-    Compares two rows of bench_route_engine from the same run: BM_Engine
-    routes one random DG(2,k) pair, and d = 2 packs one bit per digit, so
-    k=32 and k=64 run a 64-bit lane, k=128 one 128-bit lane and k=256 four
-    64-bit limbs. The offset sweep visits O(k) offsets of O(k/64) words
-    each, while the scalar Algorithm 3 scan the packed lanes replaced cost
-    over 100x per doubling, so k128_vs_k64 shows whether k=128 still takes
-    a packed lane, and k128_vs_k32 whether it still takes the 1-bit one.
-    Returns None when either row is absent.
+    Both rows come from one run of bench_route_engine and end in
+    "/<num_row>" and "/<den_row>". BM_Engine routes one random DG(2,k)
+    pair, and d = 2 packs one bit per digit. Up to k=32 the engine runs the
+    diagonal pass: one AND/OR step over k 64-bit rows per common-run
+    length. Past it the offset sweep runs: k=64 on a 64-bit lane, k=128 on
+    one 128-bit lane and k=256 on four 64-bit limbs, visiting O(k) offsets
+    of O(k/64) words each. The scalar Algorithm 3 scan the packed lanes
+    replaced cost over 100x per doubling, so engine_k128_vs_k64 shows
+    whether k=128 still takes a packed lane. engine_k128_vs_k32 compares
+    the sweep's 128-bit lane with the diagonal pass, and stays under its
+    bound only while k=128 keeps the 1-bit lane. BM_EngineStream routes a
+    new pair on each iteration, so engine_stream_vs_fixed_k16 is what the
+    branch predictor's memory of one pair hides. Returns None when either
+    row is absent.
     """
     def find(suffix):
         for row in rows:
@@ -284,40 +298,48 @@ def derive_engine_ratio(rows, k_num, k_den):
                 return row["best_ns_per_query"]
         return None
 
-    num = find(f"/BM_Engine/{k_num}")
-    den = find(f"/BM_Engine/{k_den}")
+    num = find(f"/{num_row}")
+    den = find(f"/{den_row}")
     if num is None or den is None:
         return None
     ratio = num / den
     rows.append({
-        "name": f"derived/engine_k{k_num}_vs_k{k_den}",
+        "name": f"derived/{name}",
         "backend": "derived",
         "threads": 1,
         "best_ns_per_query": ratio,  # a ratio, not a timing
-        "note": f"BM_Engine/{k_num} / BM_Engine/{k_den} (same run)",
+        "note": f"{num_row} / {den_row} (same run)",
     })
     return ratio
 
 
-def gate_engine_ratio(ratio, limit, k_num, k_den):
-    """Prints the engine ratio and applies its --max-engine-... gate.
+def gate_engine_ratio(ratio, limit, num_row, den_row, name):
+    """Prints an engine ratio and applies its --max-<name> gate.
 
     Returns 1 (fail) when the ratio exceeds a set limit, or when a limit is
     set but the rows were not recorded; 0 otherwise.
     """
-    flag = f"--max-engine-k{k_num}-vs-k{k_den}"
+    flag = "--max-" + name.replace("_", "-")
     if ratio is not None:
-        print(f"bench_report: engine k={k_num} vs k={k_den} {ratio:.3f}x")
+        print(f"bench_report: {name} {ratio:.3f}x")
         if limit > 0 and ratio > limit:
-            print(f"bench_report: FAIL BM_Engine/{k_num} costs "
-                  f"{ratio:.3f}x BM_Engine/{k_den} > allowed {limit:.2f}x")
+            print(f"bench_report: FAIL {num_row} costs {ratio:.3f}x "
+                  f"{den_row} > allowed {limit:.2f}x")
             return 1
     elif limit > 0:
-        print(f"bench_report: FAIL {flag} set but the BM_Engine/{k_den} + "
-              f"BM_Engine/{k_num} pair was not recorded (add --gbench "
+        print(f"bench_report: FAIL {flag} set but the {den_row} + "
+              f"{num_row} pair was not recorded (add --gbench "
               "bench_route_engine)")
         return 1
     return 0
+
+
+# The derived engine rows: name, numerator row, denominator row.
+ENGINE_RATIOS = [
+    ("engine_k128_vs_k64", "BM_Engine/128", "BM_Engine/64"),
+    ("engine_k128_vs_k32", "BM_Engine/128", "BM_Engine/32"),
+    ("engine_stream_vs_fixed_k16", "BM_EngineStream/16", "BM_Engine/16"),
+]
 
 
 # Numeric fields of a Google-Benchmark JSON row that are part of the
@@ -393,8 +415,11 @@ def cmd_record(args):
     serve_overhead = derive_serve_overhead(report["results"])
     serve_obs_overhead = derive_serve_obs_overhead(report["results"])
     deflection_cost = derive_deflection_cost(report["results"])
-    engine_k128_vs_k64 = derive_engine_ratio(report["results"], 128, 64)
-    engine_k128_vs_k32 = derive_engine_ratio(report["results"], 128, 32)
+    engine_ratios = [
+        (derive_engine_ratio(report["results"], num, den, name), num, den,
+         name)
+        for name, num, den in ENGINE_RATIOS
+    ]
     report["schema"] = SCHEMA
     report["generated_by"] = "scripts/bench_report.py"
     if metrics:
@@ -474,12 +499,10 @@ def cmd_record(args):
               "BM_DeflectionRescore/BM_LayerTableClassify pair was not "
               "recorded (add --gbench bench_saturation)")
         return 1
-    if gate_engine_ratio(engine_k128_vs_k64, args.max_engine_k128_vs_k64,
-                         128, 64):
-        return 1
-    if gate_engine_ratio(engine_k128_vs_k32, args.max_engine_k128_vs_k32,
-                         128, 32):
-        return 1
+    for ratio, num, den, name in engine_ratios:
+        if gate_engine_ratio(ratio, getattr(args, "max_" + name), num, den,
+                             name):
+            return 1
     return 0
 
 
@@ -580,6 +603,11 @@ def main():
                      help="fail when BM_Engine/128 costs more than this "
                           "ratio of BM_Engine/32 in the same run (0 = no "
                           "gate; CI uses 20)")
+    rec.add_argument("--max-engine-stream-vs-fixed-k16", type=float,
+                     default=0.0,
+                     help="fail when BM_EngineStream/16 costs more than "
+                          "this ratio of BM_Engine/16 in the same run (0 = "
+                          "no gate; CI uses 2.1)")
     rec.set_defaults(func=cmd_record)
 
     cmp_ = sub.add_parser("compare", help="gate a report against a baseline")

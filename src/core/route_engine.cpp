@@ -24,6 +24,15 @@ void BidirectionalRouteEngine::side_minima(const Word& x, const Word& y,
                                            strings::OverlapMin& r_side) {
   const std::uint32_t d = x.radix();
   const std::size_t k = x.length();
+  if (strings::diagonal_pass_fits(d, k)) {
+    // Up to k = 32: both sides from one pass over the 2k - 1 diagonals,
+    // no reversed words and no data-dependent run test.
+    const strings::SideMinima m =
+        strings::side_minima_diagonal(x.symbols(), y.symbols(), d);
+    l_side = m.l_side;
+    r_side = m.r_side;
+    return;
+  }
   if (strings::packable(d, k, strings::kLaneBits)) {
     // Two packs (the reversed lanes are O(log) cell reversals of the
     // forward ones) plus two pruned offset sweeps replace the two O(k^2)

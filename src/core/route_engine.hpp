@@ -6,19 +6,26 @@
 //
 // Two mechanical transformations live here. First, every buffer is
 // hoisted into a reusable object so route() performs no heap allocation
-// once warmed up (beyond growing the returned path in place). Second,
-// whenever the endpoints fit a packed lane (strings/packed.hpp), the
-// Theorem 2 side minima are computed by the word-parallel offset sweep
-// instead of the per-symbol Algorithm 3 scan. d = 2 packs one bit per
-// digit, d <= 4 two and d <= 16 four: one 128-bit lane for d = 2 up to
-// k = 128, d <= 4 up to k = 64 and d <= 16 up to k = 32 (every network
-// the paper's figures discuss), a lane of 64-bit limbs for d = 2 up to
-// k = 512, d <= 4 up to k = 256 and d <= 16 up to k = 128. At each offset
-// the sweep tests only whether a run long enough to beat its incumbent
-// exists. Only d > 16 and longer words run that scan, in place over the
-// reused buffers, so no kernel allocates once warmed. One engine per
-// thread. The ablation benchmark (bench_route_engine) measures the gain;
-// the packed-vs-scalar differential battery pins the equivalence.
+// once warmed up (beyond growing the returned path in place). Second, the
+// Theorem 2 side minima come from word-parallel kernels
+// (strings/packed.hpp) instead of the per-symbol Algorithm 3 scan, chosen
+// from (d, k) alone:
+//   - k <= 32, d <= 16 (every network the paper's figures discuss): one
+//     pass over the 2k - 1 diagonals of the equality matrix, one 64-bit
+//     row per digit of x, scoring both sides at once with no
+//     data-dependent branch but the loop exits;
+//   - past that, the offset sweep, l-side then r-side on the reversed
+//     words bounded by the l-side minimum, where each offset tests only
+//     whether a run long enough to beat its incumbent exists: one 128-bit
+//     lane for d = 2 up to k = 128 (one bit per digit) and d <= 4 up to
+//     k = 64 (two), a lane of 64-bit limbs for d = 2 up to k = 512,
+//     d <= 4 up to k = 256 and d <= 16 up to k = 128 (four bits);
+//   - d > 16 and longer words: that scan, in place over the reused
+//     buffers.
+// No kernel allocates once warmed. The diagonal pass keeps the sweep's
+// witness order, so both plan the same routes. One engine per thread.
+// The ablation benchmark (bench_route_engine) measures the gain; the
+// packed-vs-scalar differential battery pins the equivalence.
 #pragma once
 
 #include <vector>
@@ -49,9 +56,9 @@ class BidirectionalRouteEngine {
   std::size_t max_k() const { return max_k_; }
 
  private:
-  /// Side minima for both orientations: the packed sweep when (d, k) fits
-  /// a lane (128-bit, else 64-bit limbs), the in-place Algorithm 3 scan
-  /// otherwise.
+  /// Side minima for both orientations: the diagonal pass up to k = 32,
+  /// the packed sweep when (d, k) fits a lane (128-bit, else 64-bit
+  /// limbs), the in-place Algorithm 3 scan otherwise.
   void side_minima(const Word& x, const Word& y, strings::OverlapMin& l_side,
                    strings::OverlapMin& r_side);
 

@@ -21,10 +21,13 @@
 // run. On lanes wider than 64 bits, doubling steps decide in O(log need)
 // lane ops whether any run reaches the length `need` that could beat the
 // sweep's incumbent, and only then the one-cell fold finds the exact
-// longest run; a 64-bit lane folds one cell at a time. Every kernel
-// here has a scalar reference in strings/naive.hpp or
-// strings/matching.hpp; the packed-vs-scalar differential battery
-// (tests/test_packed_kernels.cpp, test_kernel_fuzz) pins the equivalence.
+// longest run; a 64-bit lane folds one cell at a time. For words up to
+// k = 32 the route engine skips the sweep: side_minima_diagonal scores
+// both sides in one pass over the diagonals of the x_i == y_j matrix, one
+// 64-bit row per digit of x. Every kernel here has a scalar reference in
+// strings/naive.hpp or strings/matching.hpp; the packed-vs-scalar
+// differential battery (tests/test_packed_kernels.cpp, test_kernel_fuzz)
+// pins the equivalence.
 #pragma once
 
 #include <array>
@@ -151,6 +154,49 @@ WideBuf pack_wide(SymbolView word, std::uint64_t alphabet,
 /// sizes, size >= 1.
 OverlapMin min_l_cost_wide(const WideBuf& x, const WideBuf& y,
                            int bound = kNoSweepBound);
+
+/// Longest words and largest alphabet side_minima_diagonal takes: the
+/// 2k - 1 diagonals of a k <= 32 word pair fit one 64-bit column word, and
+/// a digit mask per letter of an alphabet up to 16 stays on the stack.
+inline constexpr std::size_t kDiagonalPassMaxK = 32;
+inline constexpr std::uint64_t kDiagonalPassMaxAlphabet = 16;
+
+/// Whether side_minima_diagonal takes words of `size` digits over
+/// [0, alphabet): 1 <= size <= 32 and alphabet <= 16.
+bool diagonal_pass_fits(std::uint64_t alphabet, std::size_t size);
+
+/// Both Theorem 2 side minima, each a cost with a witness under
+/// min_l_cost's contract. `r_side` is in (X, Y) coordinates, as
+/// core/path_builder.hpp's r_side_from_reversed maps it: the block
+/// x_{s-θ+1..s} == y_{t..t+θ-1} at cost 2k - 1 - s + t - θ.
+struct SideMinima {
+  OverlapMin l_side;
+  OverlapMin r_side;
+};
+
+/// Both side minima from one pass over the diagonals of the equality
+/// matrix x_i == y_j, for words where diagonal_pass_fits.
+///
+/// A block x[p..p+θ-1] == y[q..q+θ-1] on diagonal c = q - p costs
+/// 2k - c - 2θ on the l-side and 2k + c - 2θ on the r-side. Row i holds
+/// y's digit mask for x_i shifted so that diagonal c lands in column
+/// c + k - 1; ANDing neighbouring rows θ - 1 times leaves, in row p, the
+/// diagonals with a run of θ starting at x_p. Each θ step is one AND and
+/// one OR per row, and the OR of the rows is the set of diagonals that
+/// still have a run of θ: its highest column is the l-side's best block of
+/// that length and its lowest the r-side's. The pass stops when no
+/// diagonal survives, so it runs longest-common-run + 1 steps. Among equal
+/// costs the later θ wins, which is the smaller |c|. Below cost k the
+/// diagonal holds one run of that length (2θ exceeds its k - |c| cells),
+/// so the block is unique. That is the witness min_l_cost_packed returns
+/// on (x, y) and on the reversed words, so a route planned from these
+/// minima is the offset sweep's. Every candidate is a real block, so
+/// each side's cost lies between its true minimum and its minimum over
+/// the blocks on its own sign of c (c >= 0 for l, c <= 0 for r). Where the
+/// two differ, the true minimum sits on a block whose other-side cost is
+/// 2|c| lower, and the plan takes the other side either way.
+SideMinima side_minima_diagonal(SymbolView x, SymbolView y,
+                                std::uint64_t alphabet);
 
 /// Longest common substring length — packed counterpart of
 /// naive::longest_common_substring / the suffix-tree search: the best run

@@ -48,6 +48,11 @@ std::vector<FuzzPoint> fuzz_schedule() {
     // Formula-only region (d^k too big for BFS): the linear kernels,
     // quadratic scan and greedy walks must still agree with each other.
     points.push_back({orientation, 2, 16});
+    // k = 32 is the engine's diagonal pass's last length at every radix
+    // it takes; k = 33 is the offset sweep's first.
+    points.push_back({orientation, 2, 32});
+    points.push_back({orientation, 4, 32});
+    points.push_back({orientation, 16, 32});
     points.push_back({orientation, 2, 33});
     points.push_back({orientation, 3, 12});
     points.push_back({orientation, 10, 7});

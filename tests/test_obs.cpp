@@ -458,18 +458,32 @@ TEST(Trace, RouteSpanSegmentsIntoTheoremTwoBlocks) {
 
 TEST(Trace, NoSinkFastPathDoesNotAllocate) {
   ASSERT_FALSE(obs::tracing_enabled());
-  BidirectionalRouteEngine engine(8);
-  const Word x = Word(2, {0, 1, 1, 0, 1, 0, 0, 1});
-  const Word y = Word(2, {1, 0, 0, 1, 0, 1, 1, 0});
+  // One pair per side-minimum kernel the engine picks from (d, k): the
+  // diagonal pass at one bit per digit (DG(2,8)) and at two (DG(4,16)),
+  // and the 64-bit offset sweep (DG(2,48)).
+  Rng rng(7);
+  const Word x4 = dbn::testing::random_word(rng, 4, 16);
+  const Word y4 = dbn::testing::random_word(rng, 4, 16);
+  const Word x48 = dbn::testing::random_word(rng, 2, 48);
+  const Word y48 = dbn::testing::random_word(rng, 2, 48);
+  const std::vector<std::pair<Word, Word>> pairs = {
+      {Word(2, {0, 1, 1, 0, 1, 0, 0, 1}), Word(2, {1, 0, 0, 1, 0, 1, 1, 0})},
+      {x4, y4},
+      {x48, y48}};
+  BidirectionalRouteEngine engine(48);
   RoutingPath path;
-  engine.route_into(x, y, WildcardMode::Concrete, path);  // warm buffers
+  for (const auto& [x, y] : pairs) {
+    engine.route_into(x, y, WildcardMode::Concrete, path);  // warm buffers
+  }
   obs::MetricsRegistry registry;
   obs::Counter counter = registry.counter("warm");
   counter.inc();  // first use stays outside the window
   std::uint64_t after_route = 0, after_span = 0, after_counter = 0;
   {
     AllocationWindow window;
-    engine.route_into(x, y, WildcardMode::Concrete, path);
+    for (const auto& [x, y] : pairs) {
+      engine.route_into(x, y, WildcardMode::Concrete, path);
+    }
     after_route = window.count();
     obs::Span span = obs::Span::begin("route", "route");
     span.instant("hop", 0.0);
@@ -487,10 +501,11 @@ TEST(Trace, NoSinkFastPathDoesNotAllocate) {
 // work runs in the per-worker engine arena, parallel_for borrows the chunk
 // body without boxing it, a warmed output vector is written in place, and
 // a warmed memo copies into storage it already owns. Every kernel must
-// hold the property: the 128-bit packed lane (DG(2,8)), the four- and
-// eight-limb lanes (DG(2,80), DG(2,256)) and the in-place Algorithm 3 scan
-// (DG(17,5)). The memo runs with fewer slots than pairs, so its warmed
-// stores evict too.
+// hold the property: the diagonal pass (DG(2,8), DG(4,16)), the offset
+// sweep on a 64-bit lane (DG(2,48)), on one 128-bit lane (DG(2,80)) and on
+// four and eight limbs (DG(2,256), DG(2,400)), and the in-place
+// Algorithm 3 scan (DG(17,5)). The memo runs with fewer slots than pairs,
+// so its warmed stores evict too.
 TEST(Trace, WarmedBatchEngineDoesNotAllocate) {
   ASSERT_FALSE(obs::tracing_enabled());
   struct Network {
@@ -498,9 +513,11 @@ TEST(Trace, WarmedBatchEngineDoesNotAllocate) {
     std::size_t k;
     std::size_t cache_entries;
   };
-  // One network per lane: 64 bits, 128 bits, four and eight limbs, and
+  // One network per kernel: the diagonal pass at one and at two bits per
+  // digit, the sweep's 64-bit lane, 128 bits, four and eight limbs, and
   // the in-place scan.
-  for (const Network net : {Network{2, 8, 0}, Network{2, 80, 0},
+  for (const Network net : {Network{2, 8, 0}, Network{4, 16, 0},
+                            Network{2, 48, 0}, Network{2, 80, 0},
                             Network{2, 256, 0}, Network{2, 400, 0},
                             Network{17, 5, 0}, Network{2, 8, 32},
                             Network{2, 80, 32}}) {

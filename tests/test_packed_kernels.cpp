@@ -13,6 +13,8 @@
 
 #include "common/contract.hpp"
 #include "core/common_substring.hpp"
+#include "core/path_builder.hpp"
+#include "core/route_engine.hpp"
 #include "strings/failure.hpp"
 #include "strings/matching.hpp"
 #include "strings/naive.hpp"
@@ -436,6 +438,211 @@ TEST(PackedKernels, FindAllMatchesKmpAndNaive) {
   EXPECT_EQ(hits, (std::vector<std::size_t>{0, 1, 2, 3}));
   strings::find_all_packed(ptext, plong, hits);
   EXPECT_TRUE(hits.empty());
+}
+
+// The route plan the engine made before the diagonal pass, and still makes
+// past k = 32: the l-side sweep, then the r-side sweep on the reversed
+// words bounded by the l-side minimum, on one 128-bit lane or on limbs.
+BidiPlan sweep_plan(const std::vector<Symbol>& x, const std::vector<Symbol>& y,
+                    std::uint32_t d) {
+  const int k = static_cast<int>(x.size());
+  if (!strings::packable(d, x.size(), strings::kLaneBits)) {
+    const OverlapMin l_side = strings::min_l_cost_wide(
+        strings::pack_wide(x, d), strings::pack_wide(y, d));
+    return make_bidi_plan(
+        k, l_side,
+        r_side_from_reversed(
+            k, strings::min_l_cost_wide(strings::pack_wide(x, d, true),
+                                        strings::pack_wide(y, d, true),
+                                        l_side.cost)));
+  }
+  const PackedBuf px = strings::pack_word(x, d);
+  const PackedBuf py = strings::pack_word(y, d);
+  const OverlapMin l_side = strings::min_l_cost_packed(px, py);
+  const OverlapMin r_side = r_side_from_reversed(
+      k, strings::min_l_cost_packed_bounded(strings::reverse_cells(px),
+                                            strings::reverse_cells(py),
+                                            l_side.cost));
+  return make_bidi_plan(k, l_side, r_side);
+}
+
+// The diagonal pass on (x, y): both witnesses valid (the r-side one as an
+// l-side witness of the reversed words), and the plan field by field the
+// sweep's.
+void expect_pass_plans_like_sweep(const std::vector<Symbol>& x,
+                                  const std::vector<Symbol>& y,
+                                  std::uint32_t d) {
+  SCOPED_TRACE(::testing::Message() << "x=" << ::testing::PrintToString(x)
+                                    << " y=" << ::testing::PrintToString(y));
+  const int k = static_cast<int>(x.size());
+  const strings::SideMinima pass = strings::side_minima_diagonal(x, y, d);
+  expect_valid_witness(x, y, pass.l_side);
+  expect_valid_witness(strings::reversed(x), strings::reversed(y),
+                       r_side_from_reversed(k, pass.r_side));
+  const BidiPlan want = sweep_plan(x, y, d);
+  const BidiPlan got = make_bidi_plan(k, pass.l_side, pass.r_side);
+  EXPECT_EQ(got.shape, want.shape);
+  EXPECT_EQ(got.distance, want.distance);
+  EXPECT_EQ(got.s, want.s);
+  EXPECT_EQ(got.t, want.t);
+  EXPECT_EQ(got.theta, want.theta);
+}
+
+TEST(PackedKernels, DiagonalPassPlansLikeTheOffsetSweep) {
+  // Every alphabet and length the pass takes. Random pairs; periodic
+  // pairs, whose runs reach the pass's last steps; equal words; each
+  // one-shift neighbour L_a(x) = x_2..x_k a and R_a(x) = a x_1..x_{k-1};
+  // blocks planted on the extreme diagonals c = k - 1 and c = -(k - 1);
+  // and blocks at both word ends (x's head at y's tail and the reverse).
+  DBN_SEEDED_RNG(rng, 0xd1a9);
+  for (std::uint32_t d = 1; d <= 16; ++d) {
+    for (std::size_t k = 1; k <= strings::kDiagonalPassMaxK; ++k) {
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " k=" << k);
+      ASSERT_TRUE(strings::diagonal_pass_fits(d, k));
+      const auto random = [&] { return testing::random_symbols(rng, k, d); };
+      const auto periodic = [&](std::size_t shift) {
+        const std::size_t period =
+            1 + rng.below(std::max<std::size_t>(1, k / 2));
+        const std::vector<Symbol> block =
+            testing::random_symbols(rng, period, d);
+        std::vector<Symbol> w(k);
+        for (std::size_t i = 0; i < k; ++i) {
+          w[i] = block[(i + shift) % period];
+        }
+        return w;
+      };
+      for (int trial = 0; trial < 6; ++trial) {
+        expect_pass_plans_like_sweep(random(), random(), d);
+      }
+      for (int trial = 0; trial < 3; ++trial) {
+        const std::size_t shift = rng.below(k);
+        std::vector<Symbol> x = periodic(0);
+        std::vector<Symbol> y(k);
+        for (std::size_t i = 0; i < k; ++i) {
+          y[i] = x[(i + shift) % k];
+        }
+        expect_pass_plans_like_sweep(x, y, d);
+        expect_pass_plans_like_sweep(periodic(0), periodic(1), d);
+      }
+      if (d >= 2) {
+        std::vector<Symbol> alt(k), alt_shifted(k);
+        for (std::size_t i = 0; i < k; ++i) {
+          alt[i] = static_cast<Symbol>(i % 2);
+          alt_shifted[i] = static_cast<Symbol>((i + 1) % 2);
+        }
+        expect_pass_plans_like_sweep(alt, alt_shifted, d);
+      }
+      const std::vector<Symbol> x = random();
+      expect_pass_plans_like_sweep(x, x, d);
+      for (Symbol a = 0; a < d; ++a) {
+        std::vector<Symbol> left(x.begin() + 1, x.end());
+        left.push_back(a);
+        std::vector<Symbol> right{a};
+        right.insert(right.end(), x.begin(), x.end() - 1);
+        expect_pass_plans_like_sweep(x, left, d);
+        expect_pass_plans_like_sweep(x, right, d);
+        expect_pass_plans_like_sweep(left, x, d);
+      }
+      for (int trial = 0; trial < 2; ++trial) {
+        std::vector<Symbol> y = random();
+        y.back() = x.front();  // c = k - 1
+        expect_pass_plans_like_sweep(x, y, d);
+        y = random();
+        y.front() = x.back();  // c = -(k - 1)
+        expect_pass_plans_like_sweep(x, y, d);
+        const std::size_t theta = 1 + rng.below(k);
+        y = random();
+        std::copy(x.begin(), x.begin() + static_cast<long>(theta),
+                  y.end() - static_cast<long>(theta));
+        expect_pass_plans_like_sweep(x, y, d);
+        y = random();
+        std::copy(x.end() - static_cast<long>(theta), x.end(), y.begin());
+        expect_pass_plans_like_sweep(x, y, d);
+      }
+    }
+  }
+}
+
+TEST(PackedKernels, DiagonalPassPinnedTieAndExtremeDiagonals) {
+  // The k = 32 corpus pairs (tests/corpus/adversarial.case), x over 0..7
+  // and y over 8..f outside the planted blocks.
+  const auto digits = [](const char* text) {
+    std::vector<Symbol> out;
+    for (const char* p = text; *p != '\0'; ++p) {
+      out.push_back(static_cast<Symbol>(*p <= '9' ? *p - '0' : *p - 'a' + 10));
+    }
+    return out;
+  };
+  const std::vector<Symbol> x = digits("01234567012345670123456701234567");
+  const auto plan = [](const std::vector<Symbol>& a,
+                       const std::vector<Symbol>& b) {
+    const strings::SideMinima m = strings::side_minima_diagonal(a, b, 16);
+    return make_bidi_plan(32, m.l_side, m.r_side);
+  };
+  // One digit on diagonal c = 31 (x_1 == y_32), then on c = -31.
+  const BidiPlan head = plan(x, digits("8be9cfad8be9cfad8be9cfad8be9cfa0"));
+  EXPECT_EQ(head.shape, BidiPlan::Shape::LeftBlock);
+  EXPECT_EQ(head.distance, 31);
+  EXPECT_EQ(head.s, 1);
+  EXPECT_EQ(head.t, 32);
+  EXPECT_EQ(head.theta, 1);
+  const BidiPlan tail = plan(x, digits("7be9cfad8be9cfad8be9cfad8be9cfad"));
+  EXPECT_EQ(tail.shape, BidiPlan::Shape::RightBlock);
+  EXPECT_EQ(tail.distance, 31);
+  EXPECT_EQ(tail.s, 32);
+  EXPECT_EQ(tail.t, 1);
+  EXPECT_EQ(tail.theta, 1);
+  // Two l-side blocks of cost 31: c = 31 with θ = 1 (x_1 == y_32) and
+  // c = 1 with θ = 16 (x_2..x_17 == y_3..y_18). The smaller c wins.
+  const std::vector<Symbol> tx = digits("91234567012345670888888888888888");
+  const std::vector<Symbol> ty = digits("ab1234567012345670abcdefabcdefa9");
+  const BidiPlan tie = plan(tx, ty);
+  EXPECT_EQ(tie.shape, BidiPlan::Shape::LeftBlock);
+  EXPECT_EQ(tie.distance, 31);
+  EXPECT_EQ(tie.s, 2);
+  EXPECT_EQ(tie.t, 18);
+  EXPECT_EQ(tie.theta, 16);
+  expect_pass_plans_like_sweep(tx, ty, 16);
+}
+
+TEST(PackedKernels, DiagonalPassDispatchEdge) {
+  // k = 32 is the pass's last length and k = 33 the sweep's first, at one
+  // bit and at four bits per digit. On both sides the engine's routes are
+  // the ones the sweep's plan builds, hop for hop, in both wildcard modes.
+  DBN_SEEDED_RNG(rng, 0xed9e);
+  BidirectionalRouteEngine engine(33);
+  RoutingPath path;
+  for (const std::uint32_t d : {2u, 16u}) {
+    for (const std::size_t k : {32u, 33u}) {
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " k=" << k);
+      EXPECT_EQ(strings::diagonal_pass_fits(d, k), k == 32);
+      for (const testkit::WordFamily wf : testkit::kAllWordFamilies) {
+        for (const testkit::PairFamily pf : testkit::kAllPairFamilies) {
+          const auto [xw, yw] = testkit::sample_pair(rng, d, k, wf, pf);
+          const std::vector<Symbol> x(xw.symbols().begin(),
+                                      xw.symbols().end());
+          const std::vector<Symbol> y(yw.symbols().begin(),
+                                      yw.symbols().end());
+          if (k == 32) {
+            expect_pass_plans_like_sweep(x, y, d);
+          } else {
+            EXPECT_THROW(strings::side_minima_diagonal(x, y, d),
+                         ContractViolation);
+          }
+          const BidiPlan plan = sweep_plan(x, y, d);
+          for (const WildcardMode mode :
+               {WildcardMode::Concrete, WildcardMode::Wildcards}) {
+            engine.route_into(xw, yw, mode, path);
+            EXPECT_EQ(path, build_bidi_path(xw, yw, plan, mode))
+                << testkit::family_name(wf) << "/"
+                << testkit::family_name(pf);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_FALSE(strings::diagonal_pass_fits(17, 4));
+  EXPECT_FALSE(strings::diagonal_pass_fits(2, 0));
 }
 
 TEST(PackedKernels, DispatchersUsePackedAndScalarConsistently) {
