@@ -12,11 +12,11 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/routers.hpp"
 #include "net/adaptive.hpp"
 #include "net/fault.hpp"
 #include "net/reliable.hpp"
 #include "net/simulator.hpp"
+#include "oracle/routers.hpp"
 
 namespace {
 

@@ -15,7 +15,7 @@
 #include "common/rng.hpp"
 #include "core/routers.hpp"
 #include "debruijn/word.hpp"
-#include "strings/naive.hpp"
+#include "oracle/naive.hpp"
 
 namespace {
 

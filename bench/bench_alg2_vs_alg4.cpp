@@ -18,9 +18,9 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/path_builder.hpp"
-#include "core/routers.hpp"
 #include "debruijn/word.hpp"
-#include "strings/naive.hpp"
+#include "oracle/naive.hpp"
+#include "oracle/routers.hpp"
 
 namespace {
 

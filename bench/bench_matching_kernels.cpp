@@ -11,11 +11,11 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
-#include "core/common_substring.hpp"
+#include "oracle/common_substring.hpp"
+#include "oracle/suffix_array.hpp"
+#include "oracle/zfunction.hpp"
 #include "strings/matching.hpp"
 #include "strings/suffix_automaton.hpp"
-#include "strings/suffix_array.hpp"
-#include "strings/zfunction.hpp"
 
 namespace {
 

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "core/path_count.hpp"
 #include "debruijn/bfs.hpp"
+#include "oracle/path_count.hpp"
 
 int main() {
   using namespace dbn;

@@ -41,8 +41,8 @@
 #include "common/rng.hpp"
 #include "core/batch_route_engine.hpp"
 #include "core/route_engine.hpp"
-#include "core/routers.hpp"
 #include "obs/trace.hpp"
+#include "oracle/routers.hpp"
 #include "strings/matching.hpp"
 #include "strings/packed.hpp"
 

@@ -14,8 +14,8 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/routers.hpp"
-#include "core/routing_table.hpp"
+#include "oracle/routers.hpp"
+#include "oracle/routing_table.hpp"
 
 namespace {
 

@@ -20,6 +20,7 @@
 #include "core/routers.hpp"
 #include "net/simulator.hpp"
 #include "net/traffic.hpp"
+#include "oracle/routers.hpp"
 
 namespace {
 

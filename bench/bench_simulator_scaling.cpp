@@ -9,9 +9,9 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/routers.hpp"
 #include "net/simulator.hpp"
 #include "net/traffic.hpp"
+#include "oracle/routers.hpp"
 
 int main() {
   using namespace dbn;

@@ -9,7 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
-#include "strings/suffix_tree.hpp"
+#include "oracle/suffix_tree.hpp"
 
 namespace {
 

@@ -17,10 +17,10 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/routers.hpp"
 #include "net/load_stats.hpp"
 #include "net/simulator.hpp"
 #include "net/traffic.hpp"
+#include "oracle/routers.hpp"
 
 namespace {
 

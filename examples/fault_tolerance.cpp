@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "common/rng.hpp"
-#include "core/routers.hpp"
+#include "core/route_engine.hpp"
 #include "net/fault.hpp"
 #include "net/simulator.hpp"
 
@@ -46,6 +46,7 @@ int main() {
     }
   }
 
+  BidirectionalRouteEngine engine(k);
   std::uint64_t sent = 0, detoured = 0;
   for (int probe = 0; probe < 300; ++probe) {
     const std::uint64_t xr = rng.below(g.vertex_count());
@@ -62,7 +63,7 @@ int main() {
       continue;
     }
     detoured += path->length() >
-                route_bidirectional_suffix_tree(x, y).length();
+                static_cast<std::size_t>(engine.distance(x, y));
     sim.inject(0.0, Message(ControlCode::Data, x, y, *path));
     ++sent;
   }

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "common/rng.hpp"
-#include "core/routers.hpp"
+#include "core/route_engine.hpp"
 #include "net/message.hpp"
 #include "net/simulator.hpp"
 #include "net/traffic.hpp"
@@ -19,13 +19,15 @@ int main() {
   constexpr std::uint32_t d = 2;
   constexpr std::size_t k = 6;
 
+  // Source routes come from one reusable Theorem 2 engine.
+  BidirectionalRouteEngine engine(k);
+  RoutingPath path;
+
   // --- One message, field by field (paper Section 3.1). -------------------
   const Word src(d, {0, 1, 1, 0, 1, 0});
   const Word dst(d, {1, 1, 0, 0, 1, 1});
-  const Message msg(ControlCode::Data, src, dst,
-                    route_bidirectional_suffix_tree(src, dst,
-                                                    WildcardMode::Wildcards),
-                    {'h', 'i'});
+  engine.route_into(src, dst, WildcardMode::Wildcards, path);
+  const Message msg(ControlCode::Data, src, dst, path, {'h', 'i'});
   std::cout << "message: control=Data source=" << msg.source.to_string()
             << " destination=" << msg.destination.to_string()
             << "\n         routing path " << msg.path.to_string()
@@ -56,10 +58,8 @@ int main() {
     for (const Injection& inj : uniform_traffic(d, k, 0.2, 100.0, rng)) {
       const Word s = Word::from_rank(d, k, inj.source);
       const Word t = Word::from_rank(d, k, inj.destination);
-      sim.inject(inj.time,
-                 Message(ControlCode::Data, s, t,
-                         route_bidirectional_suffix_tree(
-                             s, t, WildcardMode::Wildcards)));
+      engine.route_into(s, t, WildcardMode::Wildcards, path);
+      sim.inject(inj.time, Message(ControlCode::Data, s, t, path));
     }
     sim.run();
     const SimStats& stats = sim.stats();

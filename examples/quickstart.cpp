@@ -1,14 +1,16 @@
 // Quickstart: the library in five minutes.
 //
 // Builds the Figure 1 graph DG(2,3), computes distances with the paper's
-// closed forms, and routes a message with each of the three algorithms,
-// printing the paths in the paper's {(a,b),...} notation.
+// closed forms, and routes a message uni-directionally (Algorithm 1) and
+// bi-directionally (the Theorem 2 engine), printing the paths in the
+// paper's {(a,b),...} notation.
 //
 // Build & run:  cmake -B build -G Ninja && cmake --build build
 //               ./build/examples/quickstart
 #include <iostream>
 
 #include "core/distance.hpp"
+#include "core/route_engine.hpp"
 #include "core/routers.hpp"
 #include "debruijn/bfs.hpp"
 #include "debruijn/graph.hpp"
@@ -26,26 +28,27 @@ int main() {
   std::cout << "directed distance   D(X,Y) = " << directed_distance(x, y)
             << "   (Property 1: k minus the suffix/prefix overlap)\n";
   std::cout << "undirected distance D(X,Y) = " << undirected_distance(x, y)
-            << "   (Theorem 2, via suffix trees in O(k))\n\n";
+            << "   (Theorem 2, in O(k))\n\n";
 
   // --- Routing (Section 3). ----------------------------------------------
   const RoutingPath uni = route_unidirectional(x, y);
   std::cout << "Algorithm 1 (uni-directional):  " << uni.to_string()
             << "  -> " << uni.apply(x).to_string() << "\n";
 
-  const RoutingPath mp = route_bidirectional_mp(x, y);
-  std::cout << "Algorithm 2 (failure function): " << mp.to_string() << "  -> "
-            << mp.apply(x).to_string() << "\n";
-
-  const RoutingPath st = route_bidirectional_suffix_tree(x, y);
-  std::cout << "Algorithm 4 (suffix tree):      " << st.to_string() << "  -> "
-            << st.apply(x).to_string() << "\n\n";
+  // One reusable engine routes every bi-directional pair up to its max_k:
+  // the Theorem 2 minimum by Section 4's linear algorithm, with no
+  // allocation once warm.
+  BidirectionalRouteEngine engine(5);
+  RoutingPath bidi;
+  engine.route_into(x, y, WildcardMode::Concrete, bidi);
+  std::cout << "Theorem 2 (bi-directional):     " << bidi.to_string()
+            << "  -> " << bidi.apply(x).to_string() << "\n\n";
 
   // --- Wildcard digits: the forwarding site's free choice. -----------------
   const Word a = Word::zero(2, 5);
   const Word b(2, {1, 0, 0, 0, 1});
-  const RoutingPath wc =
-      route_bidirectional_suffix_tree(a, b, WildcardMode::Wildcards);
+  RoutingPath wc;
+  engine.route_into(a, b, WildcardMode::Wildcards, wc);
   std::cout << "With wildcards, " << a.to_string() << " -> " << b.to_string()
             << " routes as " << wc.to_string()
             << ":\n  any digit works for \"*\" — e.g. resolving it to 1 gives "

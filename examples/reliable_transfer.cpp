@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "common/rng.hpp"
-#include "core/routers.hpp"
+#include "core/route_engine.hpp"
 #include "net/fault.hpp"
 #include "net/reliable.hpp"
 #include "net/simulator.hpp"
@@ -38,10 +38,13 @@ int main() {
   std::cout << "\nlink queues capped at 2 messages\n\n";
 
   const FaultAwareRouter fault_router(g, failed);
+  BidirectionalRouteEngine engine(k);
   const AttemptRouter router = [&](const Word& x, const Word& y, int attempt) {
     if (attempt == 0) {
       // First try: the paper's oblivious shortest path with wildcards.
-      return route_bidirectional_suffix_tree(x, y, WildcardMode::Wildcards);
+      RoutingPath path;
+      engine.route_into(x, y, WildcardMode::Wildcards, path);
+      return path;
     }
     return fault_router.route(x, y).value_or(RoutingPath{});
   };

@@ -40,6 +40,14 @@ House rules (each one exists because the generic tooling cannot express it):
                       are safe. The macro's home, src/common/annotations.hpp,
                       is exempt.
 
+  oracle-include      src/oracle/ holds the differential oracles and ablation
+                      engines (suffix tree and array, Z rows, the Algorithm
+                      2/4 routers, ...); production runs none of them. No
+                      file under src/ outside src/oracle/ and src/testkit/,
+                      and none under tools/ or examples/, may include an
+                      oracle/ header, so production code and its link lines
+                      stay free of dbn_oracle. Tests and benches may.
+
 Suppressing a finding requires an inline justification on the same line:
     ... // dbn-lint: allow(<rule>) <reason>
 
@@ -94,10 +102,13 @@ DBN_MUTEX_DECL_RE = re.compile(
     r"(?:(?<![A-Za-z0-9_:])Mutex|\bdbn\s*::\s*Mutex)\s+\w+\s*;"
 )
 TSA_EXEMPTION_RE = re.compile(r"\bDBN_NO_THREAD_SAFETY_ANALYSIS\b")
+# The src/ subdirectories that may include oracle/ headers.
+ORACLE_INCLUDERS = ("oracle", "testkit")
 
 KNOWN_RULES = frozenset({
     "naked-assert", "std-rand", "raw-new", "schema-literal",
     "include-order", "mutex-needs-annotation", "tsa-exemption",
+    "oracle-include",
 })
 
 
@@ -161,6 +172,9 @@ class Linter:
 
         in_tests = top == "tests"
         file_has_guarded_by = "DBN_GUARDED_BY" in code
+        production = top in ("tools", "examples") or (
+            top == "src" and rel.parts[1] not in ORACLE_INCLUDERS
+        )
         for lineno, (code_line, raw_line) in enumerate(
             zip(code_lines, raw_lines), start=1
         ):
@@ -237,6 +251,18 @@ class Linter:
                             "DBN_NO_THREAD_SAFETY_ANALYSIS turns the lock "
                             "analysis off for the whole function; guard the "
                             "state instead or justify inline",
+                        )
+
+            if production:
+                m = INCLUDE_RE.match(code_line)
+                if m and m.group(2).startswith("oracle/"):
+                    fired.add("oracle-include")
+                    if "oracle-include" not in allowed:
+                        self.report(
+                            path, lineno, "oracle-include",
+                            f'production code includes "{m.group(2)}"; '
+                            "oracle/ is for tests, the testkit and benches "
+                            "(production routes run core/route_engine.hpp)",
                         )
 
             # Stale-suppression audit. include-order is checked in its own

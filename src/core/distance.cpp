@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/contract.hpp"
-#include "core/common_substring.hpp"
 #include "strings/failure.hpp"
 #include "strings/matching.hpp"
 #include "strings/suffix_automaton.hpp"

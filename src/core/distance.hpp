@@ -17,8 +17,8 @@ int undirected_distance_quadratic(const Word& x, const Word& y);
 
 /// Theorem 2: the undirected distance in O(k). Uses the suffix-automaton
 /// engine (the fastest of the library's linear kernels, EXPERIMENTS.md A1);
-/// identical results to the Algorithm 4 suffix-tree form, which remains
-/// available through route_bidirectional_suffix_tree / common_substring.hpp.
+/// identical results to the Algorithm 4 suffix-tree form, which is kept as
+/// a differential oracle (oracle/common_substring.hpp, oracle/routers.hpp).
 int undirected_distance(const Word& x, const Word& y);
 
 /// Equation (5) as printed in the paper:

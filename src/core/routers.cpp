@@ -1,47 +1,15 @@
 #include "core/routers.hpp"
 
 #include "common/contract.hpp"
-#include "core/common_substring.hpp"
 #include "core/route_trace.hpp"
 #include "obs/trace.hpp"
 #include "strings/failure.hpp"
-#include "strings/matching.hpp"
-#include "strings/suffix_automaton.hpp"
 
 namespace dbn {
 
-namespace {
-
-void check_endpoints(const Word& x, const Word& y) {
+RoutingPath route_unidirectional(const Word& x, const Word& y) {
   DBN_REQUIRE(x.radix() == y.radix() && x.length() == y.length(),
               "route endpoints must share radix and length");
-}
-
-using SideMinFn = strings::OverlapMin (*)(strings::SymbolView,
-                                          strings::SymbolView);
-
-RoutingPath route_bidirectional(const Word& x, const Word& y,
-                                WildcardMode mode, SideMinFn side_min,
-                                const char* algo) {
-  check_endpoints(x, y);
-  const int k = static_cast<int>(x.length());
-  const Word xr = x.reversed();
-  const Word yr = y.reversed();
-  const strings::OverlapMin l_side = side_min(x.symbols(), y.symbols());
-  const strings::OverlapMin r_side =
-      r_side_from_reversed(k, side_min(xr.symbols(), yr.symbols()));
-  const BidiPlan plan = make_bidi_plan(k, l_side, r_side);
-  RoutingPath path = build_bidi_path(x, y, plan, mode);
-  if (obs::tracing_enabled()) {
-    trace_bidi_route(algo, x, y, plan, path);
-  }
-  return path;
-}
-
-}  // namespace
-
-RoutingPath route_unidirectional(const Word& x, const Word& y) {
-  check_endpoints(x, y);
   if (x == y) {
     return RoutingPath{};
   }
@@ -54,23 +22,6 @@ RoutingPath route_unidirectional(const Word& x, const Word& y) {
     trace_uni_route(x, y, l, path);
   }
   return path;
-}
-
-RoutingPath route_bidirectional_mp(const Word& x, const Word& y,
-                                   WildcardMode mode) {
-  return route_bidirectional(x, y, mode, &strings::min_l_cost, "bidi-mp");
-}
-
-RoutingPath route_bidirectional_suffix_tree(const Word& x, const Word& y,
-                                            WildcardMode mode) {
-  return route_bidirectional(x, y, mode, &min_l_cost_suffix_tree,
-                             "bidi-suffix-tree");
-}
-
-RoutingPath route_bidirectional_suffix_automaton(const Word& x, const Word& y,
-                                                 WildcardMode mode) {
-  return route_bidirectional(x, y, mode, &strings::min_l_cost_suffix_automaton,
-                             "bidi-suffix-automaton");
 }
 
 }  // namespace dbn

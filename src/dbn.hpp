@@ -1,7 +1,8 @@
-// Umbrella header: the whole debruijn-routing public API.
+// Umbrella header: the debruijn-routing production API.
 //
 // Fine-grained headers remain the recommended include style; this exists
-// for quick experiments and the examples.
+// for quick experiments and the examples. The differential oracles and
+// ablation engines under oracle/ are not part of it: include them by name.
 #pragma once
 
 // Foundations.
@@ -10,15 +11,10 @@
 #include "common/rng.hpp"          // IWYU pragma: export
 #include "common/table.hpp"        // IWYU pragma: export
 
-// String machinery (Morris-Pratt, suffix structures).
+// String machinery (Morris-Pratt, suffix automaton).
 #include "strings/failure.hpp"           // IWYU pragma: export
-#include "strings/lyndon.hpp"            // IWYU pragma: export
 #include "strings/matching.hpp"          // IWYU pragma: export
-#include "strings/naive.hpp"             // IWYU pragma: export
-#include "strings/suffix_array.hpp"      // IWYU pragma: export
 #include "strings/suffix_automaton.hpp"  // IWYU pragma: export
-#include "strings/suffix_tree.hpp"       // IWYU pragma: export
-#include "strings/zfunction.hpp"         // IWYU pragma: export
 
 // De Bruijn (and sibling) graphs.
 #include "debruijn/bfs.hpp"               // IWYU pragma: export
@@ -35,16 +31,12 @@
 // The paper's contribution: distances and routing.
 #include "core/average_distance.hpp"   // IWYU pragma: export
 #include "core/bfs_router.hpp"         // IWYU pragma: export
-#include "core/common_substring.hpp"   // IWYU pragma: export
 #include "core/distance.hpp"           // IWYU pragma: export
 #include "core/hop_by_hop.hpp"         // IWYU pragma: export
 #include "core/path.hpp"               // IWYU pragma: export
 #include "core/path_builder.hpp"       // IWYU pragma: export
-#include "core/path_count.hpp"         // IWYU pragma: export
-#include "core/prop5_as_printed.hpp"   // IWYU pragma: export
 #include "core/route_engine.hpp"       // IWYU pragma: export
 #include "core/routers.hpp"            // IWYU pragma: export
-#include "core/routing_table.hpp"      // IWYU pragma: export
 
 // The network: messages, simulators, protocols.
 #include "net/adaptive.hpp"        // IWYU pragma: export

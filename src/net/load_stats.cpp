@@ -39,25 +39,6 @@ double coefficient_of_variation(const std::vector<std::uint64_t>& values) {
   return summary.coefficient_of_variation();
 }
 
-double jain_fairness_index(const std::vector<double>& values) {
-  double total = 0.0;
-  double total_squares = 0.0;
-  for (const double v : values) {
-    total += v;
-    total_squares += v * v;
-  }
-  if (values.empty() || total_squares <= 0.0) {
-    return 1.0;
-  }
-  return (total * total) /
-         (static_cast<double>(values.size()) * total_squares);
-}
-
-double jain_fairness_index(const std::vector<std::uint64_t>& values) {
-  std::vector<double> doubles(values.begin(), values.end());
-  return jain_fairness_index(doubles);
-}
-
 void record_sim_metrics(obs::MetricsRegistry& registry, const Simulator& sim) {
   const SimStats& stats = sim.stats();
   registry.counter("sim.injected").inc(stats.injected);

@@ -31,14 +31,6 @@ double gini_coefficient(const std::vector<std::uint64_t>& values);
 /// input. Thin adapter over obs::Summary.
 double coefficient_of_variation(const std::vector<std::uint64_t>& values);
 
-/// Jain's fairness index (sum x)^2 / (n * sum x^2): 1 when every share is
-/// equal, -> 1/n when one participant takes everything. The serving
-/// introspection probe reports it over per-connection request counts (the
-/// quota work's "is one client hogging the queue" signal); 1 for empty or
-/// all-zero input, where no one is being starved.
-double jain_fairness_index(const std::vector<double>& values);
-double jain_fairness_index(const std::vector<std::uint64_t>& values);
-
 /// Folds a finished simulation into `registry`:
 ///   counters   sim.injected/delivered/dropped_fault/dropped_link/
 ///              dropped_overflow/misdelivered

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/schema.hpp"
-#include "net/load_stats.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
@@ -72,6 +71,21 @@ std::vector<SlowRecord> SlowLog::records() const {
   return {ring_.begin(), ring_.end()};
 }
 
+double jain_fairness_index(const std::vector<std::uint64_t>& counts) {
+  double total = 0.0;
+  double total_squares = 0.0;
+  for (const std::uint64_t count : counts) {
+    const auto v = static_cast<double>(count);
+    total += v;
+    total_squares += v * v;
+  }
+  if (counts.empty() || total_squares <= 0.0) {
+    return 1.0;
+  }
+  return (total * total) /
+         (static_cast<double>(counts.size()) * total_squares);
+}
+
 std::string introspect_json(const RouteServer& server) {
   using obs::json_number;
   const ServeConfig& config = server.config();
@@ -115,7 +129,7 @@ std::string introspect_json(const RouteServer& server) {
     out << "{\"id\":" << conn.id << ",\"requests\":" << conn.requests
         << ",\"responses\":" << conn.responses << "}";
   }
-  out << "],\"fairness\":" << json_number(net::jain_fairness_index(shares));
+  out << "],\"fairness\":" << json_number(jain_fairness_index(shares));
 
   out << ",\"slow\":[";
   for (std::size_t i = 0; i < snap.slow.size(); ++i) {

@@ -97,6 +97,12 @@ struct ConnectionInfo {
   std::uint64_t responses = 0;
 };
 
+/// Jain's fairness index (sum x)^2 / (n * sum x^2) over per-connection
+/// request counts: 1 when every share is equal, -> 1/n when one connection
+/// takes everything (the "is one client hogging the queue" signal). 1 for
+/// empty or all-zero input, where no one is being starved.
+double jain_fairness_index(const std::vector<std::uint64_t>& counts);
+
 /// The introspect/1 JSON document (embeds a fresh global metrics/1
 /// snapshot). Safe to call from any thread; never touches the dispatcher.
 /// The exact accounting cut it carries is RouteServer::introspect()

@@ -76,38 +76,4 @@ int suffix_prefix_overlap(SymbolView x, SymbolView y) {
   return q;
 }
 
-std::vector<std::size_t> kmp_find_all(SymbolView text, SymbolView pattern) {
-  std::vector<std::size_t> hits;
-  if (pattern.empty()) {
-    hits.resize(text.size() + 1);
-    for (std::size_t i = 0; i <= text.size(); ++i) {
-      hits[i] = i;
-    }
-    return hits;
-  }
-  PackedBuf ptext;
-  PackedBuf ppattern;
-  if (try_pack_pair(text, pattern, ptext, ppattern)) {
-    find_all_packed(ptext, ppattern, hits);
-    return hits;
-  }
-  const std::vector<int> border = border_array(pattern);
-  int q = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (q == static_cast<int>(pattern.size())) {
-      q = border[static_cast<std::size_t>(q) - 1];
-    }
-    while (q > 0 && pattern[static_cast<std::size_t>(q)] != text[i]) {
-      q = border[static_cast<std::size_t>(q) - 1];
-    }
-    if (pattern[static_cast<std::size_t>(q)] == text[i]) {
-      ++q;
-    }
-    if (q == static_cast<int>(pattern.size())) {
-      hits.push_back(i + 1 - pattern.size());
-    }
-  }
-  return hits;
-}
-
 }  // namespace dbn::strings

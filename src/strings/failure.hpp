@@ -27,9 +27,4 @@ std::vector<int> border_array(SymbolView pattern);
 /// O(|x| + |y|) time, O(|y|) space.
 int suffix_prefix_overlap(SymbolView x, SymbolView y);
 
-/// All start positions (0-based) at which `pattern` occurs in `text`,
-/// via Knuth–Morris–Pratt. An empty pattern occurs at every position
-/// 0..|text|. O(|text| + |pattern|) time.
-std::vector<std::size_t> kmp_find_all(SymbolView text, SymbolView pattern);
-
 }  // namespace dbn::strings

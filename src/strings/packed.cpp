@@ -185,8 +185,6 @@ int lane_ctz(Lane v) {
   }
 }
 
-int countr_zero128(__uint128_t v) { return lane_ctz(v); }
-
 // Per-cell equality mask: bit i*width is set iff cell i of a equals cell i
 // of b, for the cells under `window` (a low mask of whole cells);
 // everything above is cleared.
@@ -205,12 +203,6 @@ Lane eq_mask_t(const Lane a, const Lane b, std::uint32_t width,
   }
   t |= t >> 1;
   return ~t & lane_splat<Lane>(cell_lsb(width)) & window;
-}
-
-// eq_mask_t over the first `cells` cells of one 128-bit lane.
-__uint128_t eq_mask(const __uint128_t a, const __uint128_t b,
-                    std::uint32_t width, std::uint32_t cells) {
-  return eq_mask_t(a, b, width, low_mask(width * cells));
 }
 
 // A run of consecutive set cells in an equality mask: its length and the
@@ -254,18 +246,6 @@ Run run_reaching(Lane m, std::uint32_t width, int need) {
     return {};
   }
   return Run{have, lane_ctz(last) / static_cast<int>(width)};
-}
-
-// Number of leading (lowest-index) consecutive set cells of an equality
-// mask covering `cells` cells.
-int leading_matches(__uint128_t mask, std::uint32_t width,
-                    std::uint32_t cells) {
-  const __uint128_t holes = ~mask & lane_splat<__uint128_t>(cell_lsb(width)) &
-                            low_mask(width * cells);
-  if (holes == 0) {
-    return static_cast<int>(cells);
-  }
-  return countr_zero128(holes) / static_cast<int>(width);
 }
 
 // The l-side offset sweep (see min_l_cost_packed's header comment for the
@@ -454,20 +434,6 @@ PackedBuf pack_word(SymbolView word, std::uint64_t alphabet) {
   return out;
 }
 
-PackedBuf pack_reversed(SymbolView word, std::uint64_t alphabet) {
-  DBN_REQUIRE(packable(alphabet, word.size(), kLaneBits),
-              "pack_reversed requires a packable (alphabet, length)");
-  PackedBuf out;
-  out.width = packed_width(alphabet);
-  out.size = static_cast<std::uint32_t>(word.size());
-  for (std::size_t i = 0; i < word.size(); ++i) {
-    const Symbol digit = word[word.size() - 1 - i];
-    DBN_REQUIRE(digit < alphabet, "pack_reversed digit exceeds the alphabet");
-    out.bits |= static_cast<__uint128_t>(digit) << (i * out.width);
-  }
-  return out;
-}
-
 PackedBuf reverse_cells(const PackedBuf& p) {
   DBN_REQUIRE(valid_width(p.width), "reverse_cells needs a packed buffer");
   // Butterfly reversal: swap the lane halves, then bytes within halves,
@@ -530,14 +496,6 @@ bool try_pack_pair(SymbolView x, SymbolView y, PackedBuf& px, PackedBuf& py) {
   }
   const std::uint32_t width = packed_width(static_cast<std::uint64_t>(top) + 1);
   return try_pack(x, width, px) && try_pack(y, width, py);
-}
-
-std::vector<Symbol> unpack(const PackedBuf& p) {
-  std::vector<Symbol> out(p.size);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = p.get(i);
-  }
-  return out;
 }
 
 int suffix_prefix_overlap_packed(const PackedBuf& x, const PackedBuf& y) {
@@ -700,86 +658,6 @@ SideMinima side_minima_diagonal(SymbolView x, SymbolView y,
                             k + 1 - out.r_side.t, out.r_side.theta},
                  DigitView{x, size, true}, DigitView{y, size, true});
   return out;
-}
-
-int longest_common_substring_packed(const PackedBuf& a, const PackedBuf& b) {
-  check_pair(a, b);
-  const std::uint32_t width = a.width;
-  int best = 0;
-  // Every common substring occurrence lives at one alignment offset; the
-  // window length bounds the best run, so each sweep stops as soon as the
-  // remaining windows are no longer than the incumbent.
-  for (std::uint32_t c = 0; c < b.size; ++c) {
-    const std::uint32_t window = std::min(a.size, b.size - c);
-    if (static_cast<int>(window) <= best) {
-      break;
-    }
-    const __uint128_t mask =
-        eq_mask(a.bits, b.bits >> (c * width), width, window);
-    best = std::max(best, run_reaching(mask, width, best + 1).length);
-  }
-  for (std::uint32_t c = 1; c < a.size; ++c) {
-    const std::uint32_t window = std::min(a.size - c, b.size);
-    if (static_cast<int>(window) <= best) {
-      break;
-    }
-    const __uint128_t mask =
-        eq_mask(a.bits >> (c * width), b.bits, width, window);
-    best = std::max(best, run_reaching(mask, width, best + 1).length);
-  }
-  return best;
-}
-
-void border_array_packed(const PackedBuf& p, std::vector<int>& out) {
-  const std::size_t n = p.size;
-  out.assign(n, 0);
-  if (n <= 1) {
-    return;
-  }
-  DBN_REQUIRE(valid_width(p.width),
-              "border_array_packed needs a packed buffer");
-  // lead[c] = number of leading cells where p matches p shifted by c. The
-  // prefix p[0..i] has a border of length s = i+1-c exactly when
-  // lead[c] >= s, so border[i] is i+1-c for the smallest feasible c.
-  // n <= 128 cells bounds the quadratic fill at ~8k word ops.
-  std::vector<int> lead(n, 0);
-  for (std::uint32_t c = 1; c < n; ++c) {
-    const __uint128_t mask =
-        eq_mask(p.bits, p.bits >> (c * p.width), p.width,
-                static_cast<std::uint32_t>(n) - c);
-    lead[c] = leading_matches(mask, p.width,
-                              static_cast<std::uint32_t>(n) - c);
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t c = 1; c <= i; ++c) {
-      if (lead[c] >= static_cast<int>(i + 1 - c)) {
-        out[i] = static_cast<int>(i + 1 - c);
-        break;
-      }
-    }
-  }
-}
-
-void find_all_packed(const PackedBuf& text, const PackedBuf& pattern,
-                     std::vector<std::size_t>& out) {
-  out.clear();
-  if (pattern.size == 0) {
-    for (std::size_t i = 0; i <= text.size; ++i) {
-      out.push_back(i);
-    }
-    return;
-  }
-  if (pattern.size > text.size) {
-    return;
-  }
-  check_pair(text, pattern);
-  const __uint128_t want = pattern.bits;
-  const __uint128_t window = low_mask(pattern.size * pattern.width);
-  for (std::uint32_t start = 0; start <= text.size - pattern.size; ++start) {
-    if (((text.bits >> (start * text.width)) & window) == want) {
-      out.push_back(start);
-    }
-  }
 }
 
 }  // namespace dbn::strings

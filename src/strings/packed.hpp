@@ -25,7 +25,7 @@
 // k = 32 the route engine skips the sweep: side_minima_diagonal scores
 // both sides in one pass over the diagonals of the x_i == y_j matrix, one
 // 64-bit row per digit of x. Every kernel here has a scalar reference in
-// strings/naive.hpp or strings/matching.hpp; the packed-vs-scalar
+// oracle/naive.hpp or strings/matching.hpp; the packed-vs-scalar
 // differential battery (tests/test_packed_kernels.cpp, test_kernel_fuzz)
 // pins the equivalence.
 #pragma once
@@ -33,7 +33,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "strings/matching.hpp"
 #include "strings/symbol.hpp"
@@ -75,10 +74,6 @@ bool packable(std::uint64_t alphabet, std::size_t size,
 /// Requires packable(alphabet, word.size(), kLaneBits).
 PackedBuf pack_word(SymbolView word, std::uint64_t alphabet);
 
-/// Packs the reversal of `word` — the r-side reduction runs the l-side
-/// kernel on reversed words, and packing backwards is free.
-PackedBuf pack_reversed(SymbolView word, std::uint64_t alphabet);
-
 /// The lane with its digit cells in reverse order — equal to packing the
 /// reversed word, but computed from the already-packed lane in O(log)
 /// swap/shift steps instead of another O(k) digit loop. This is how the
@@ -93,9 +88,6 @@ bool try_pack(SymbolView word, std::uint32_t width, PackedBuf& out);
 /// Packs two words at one common width (per-cell comparisons require equal
 /// widths); false when either word fails to pack.
 bool try_pack_pair(SymbolView x, SymbolView y, PackedBuf& px, PackedBuf& py);
-
-/// Digits of `p` back into a vector (differential-test plumbing).
-std::vector<Symbol> unpack(const PackedBuf& p);
 
 /// Longest suffix of x that is a prefix of y — packed counterpart of
 /// suffix_prefix_overlap (Property 1 / Algorithm 1). Requires equal
@@ -197,22 +189,5 @@ struct SideMinima {
 /// 2|c| lower, and the plan takes the other side either way.
 SideMinima side_minima_diagonal(SymbolView x, SymbolView y,
                                 std::uint64_t alphabet);
-
-/// Longest common substring length — packed counterpart of
-/// naive::longest_common_substring / the suffix-tree search: the best run
-/// over all offsets. Requires equal widths.
-int longest_common_substring_packed(const PackedBuf& a, const PackedBuf& b);
-
-/// Border array — packed counterpart of border_array. For each shift c the
-/// lane fold yields the number of leading cells where p matches p shifted
-/// by c; border[i] is then i+1-c for the smallest feasible c. Writes into
-/// `out` (resized) so callers can reuse storage.
-void border_array_packed(const PackedBuf& p, std::vector<int>& out);
-
-/// All occurrences of pattern in text — packed counterpart of
-/// kmp_find_all / naive::find_all. One masked compare per start position.
-/// Requires equal widths. Appends nothing on no match; `out` is cleared.
-void find_all_packed(const PackedBuf& text, const PackedBuf& pattern,
-                     std::vector<std::size_t>& out);
 
 }  // namespace dbn::strings

@@ -12,10 +12,10 @@
 
 #include "common/contract.hpp"
 #include "common/schema.hpp"
-#include "core/routers.hpp"
 #include "net/fault.hpp"
 #include "net/load_stats.hpp"
 #include "obs/metrics.hpp"
+#include "oracle/routers.hpp"
 
 namespace dbn::testkit {
 

@@ -12,9 +12,10 @@
 #include "core/layer_table.hpp"
 #include "core/route_engine.hpp"
 #include "core/routers.hpp"
-#include "core/routing_table.hpp"
 #include "debruijn/bfs.hpp"
 #include "debruijn/kautz_routing.hpp"
+#include "oracle/routers.hpp"
+#include "oracle/routing_table.hpp"
 
 namespace dbn::testkit {
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/contract.hpp"
-#include "strings/lyndon.hpp"
+#include "oracle/lyndon.hpp"
 
 namespace dbn::testkit {
 

@@ -11,7 +11,7 @@
 #include "core/batch_route_engine.hpp"
 #include "core/distance.hpp"
 #include "core/route_engine.hpp"
-#include "core/routers.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn {

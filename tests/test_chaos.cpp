@@ -12,12 +12,12 @@
 #include "common/contract.hpp"
 #include "common/rng.hpp"
 #include "core/distance.hpp"
-#include "core/routers.hpp"
 #include "net/fault.hpp"
 #include "net/reliable.hpp"
 #include "net/simulator.hpp"
-#include "testkit/chaos.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
+#include "testkit/chaos.hpp"
 
 namespace dbn::net {
 namespace {

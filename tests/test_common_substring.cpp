@@ -2,9 +2,9 @@
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
-#include "core/common_substring.hpp"
+#include "oracle/common_substring.hpp"
+#include "oracle/naive.hpp"
 #include "strings/matching.hpp"
-#include "strings/naive.hpp"
 #include "testing_util.hpp"
 
 namespace dbn {

@@ -8,6 +8,7 @@
 #include "debruijn/bfs.hpp"
 #include "net/message.hpp"
 #include "net/simulator.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn {

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "oracle/kmp.hpp"
+#include "oracle/naive.hpp"
 #include "strings/failure.hpp"
-#include "strings/naive.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::strings {

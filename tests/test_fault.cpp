@@ -2,11 +2,11 @@
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
-#include "debruijn/bfs.hpp"
 #include "core/distance.hpp"
-#include "core/routers.hpp"
+#include "debruijn/bfs.hpp"
 #include "net/fault.hpp"
 #include "net/simulator.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::net {

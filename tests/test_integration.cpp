@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "dbn.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn {

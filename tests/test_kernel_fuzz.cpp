@@ -8,15 +8,16 @@
 #include <array>
 
 #include "common/rng.hpp"
-#include "core/common_substring.hpp"
 #include "debruijn/sequence.hpp"
+#include "oracle/common_substring.hpp"
+#include "oracle/kmp.hpp"
+#include "oracle/naive.hpp"
+#include "oracle/suffix_array.hpp"
+#include "oracle/zfunction.hpp"
 #include "strings/failure.hpp"
 #include "strings/matching.hpp"
-#include "strings/naive.hpp"
 #include "strings/packed.hpp"
 #include "strings/suffix_automaton.hpp"
-#include "strings/suffix_array.hpp"
-#include "strings/zfunction.hpp"
 #include "testing_util.hpp"
 
 namespace dbn {
@@ -136,7 +137,6 @@ TEST(KernelFuzz, LowEntropyBiasedWords) {
 
 TEST(KernelFuzz, PackedOverlapAndSearchKernels) {
   DBN_SEEDED_RNG(rng, 0x9afca11);
-  std::vector<std::size_t> hits;
   for (int trial = 0; trial < 20000; ++trial) {
     // Alphabet mix: mostly small (every cell width), occasionally at or
     // past the packable edge so the dispatchers' fallback is fuzzed too.
@@ -153,8 +153,9 @@ TEST(KernelFuzz, PackedOverlapAndSearchKernels) {
       const std::size_t s = 1 + rng.below(std::min(kx, ky));
       std::copy(x.end() - static_cast<long>(s), x.end(), y.begin());
     }
-    // Public dispatchers (packed fast path when the pair fits a lane,
-    // Morris–Pratt otherwise) against the brute-force oracles.
+    // The Property 1 dispatcher (packed fast path when the pair fits a
+    // lane, Morris–Pratt otherwise) and KMP search against the brute-force
+    // oracles.
     EXPECT_EQ(strings::suffix_prefix_overlap(x, y),
               strings::naive::suffix_prefix_overlap(x, y));
     EXPECT_EQ(strings::kmp_find_all(x, y), strings::naive::find_all(x, y));
@@ -162,31 +163,10 @@ TEST(KernelFuzz, PackedOverlapAndSearchKernels) {
     if (strings::try_pack_pair(x, y, px, py)) {
       EXPECT_EQ(strings::suffix_prefix_overlap_packed(px, py),
                 strings::naive::suffix_prefix_overlap(x, y));
-      strings::find_all_packed(px, py, hits);
-      EXPECT_EQ(hits, strings::naive::find_all(x, y));
-      EXPECT_EQ(strings::unpack(strings::reverse_cells(px)),
-                strings::reversed(x));
-      EXPECT_EQ(strings::longest_common_substring_packed(px, py),
-                longest_common_substring_suffix_tree(x, y));
+      strings::PackedBuf rx;
+      ASSERT_TRUE(strings::try_pack(strings::reversed(x), px.width, rx));
+      EXPECT_EQ(strings::reverse_cells(px), rx);
     }
-  }
-}
-
-TEST(KernelFuzz, PackedBorderArrays) {
-  DBN_SEEDED_RNG(rng, 0xb0fca11);
-  std::vector<int> packed_border;
-  for (int trial = 0; trial < 20000; ++trial) {
-    const std::uint32_t alphabet = 1 + rng.below(16);
-    const std::uint32_t width = strings::packed_width(alphabet);
-    const std::size_t k = 1 + rng.below(128 / width);
-    // Low-entropy draws keep the words border-rich.
-    std::vector<Symbol> s(k);
-    for (auto& c : s) {
-      c = rng.chance(0.7) ? 0 : static_cast<Symbol>(rng.below(alphabet));
-    }
-    const strings::PackedBuf packed = strings::pack_word(s, alphabet);
-    strings::border_array_packed(packed, packed_border);
-    EXPECT_EQ(packed_border, strings::border_array(s));
   }
 }
 

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "core/routers.hpp"
 #include "net/load_stats.hpp"
 #include "net/simulator.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::net {
@@ -33,34 +33,6 @@ TEST(LoadStats, GiniIsScaleInvariantAndOrderInvariant) {
   EXPECT_NEAR(gini_coefficient(a), gini_coefficient(scaled), 1e-12);
   // Known value for {1,2,3,4}: G = 0.25.
   EXPECT_NEAR(gini_coefficient(a), 0.25, 1e-12);
-}
-
-TEST(LoadStats, JainFairnessOfUniformIsOne) {
-  EXPECT_DOUBLE_EQ(jain_fairness_index(std::vector<double>{7, 7, 7}), 1.0);
-  // Degenerate inputs read as perfectly fair, matching gini's convention.
-  EXPECT_DOUBLE_EQ(jain_fairness_index(std::vector<double>{}), 1.0);
-  EXPECT_DOUBLE_EQ(jain_fairness_index(std::vector<double>{0, 0}), 1.0);
-}
-
-TEST(LoadStats, JainFairnessOfConcentratedLoadIsOneOverN) {
-  // One active source among n: J = (Σx)² / (n·Σx²) = 1/n.
-  std::vector<double> values(10, 0.0);
-  values[3] = 42.0;
-  EXPECT_NEAR(jain_fairness_index(values), 0.1, 1e-12);
-}
-
-TEST(LoadStats, JainFairnessIsScaleInvariantAndMatchesClosedForm) {
-  const std::vector<double> a = {1, 2, 3, 4};
-  std::vector<double> scaled;
-  for (const double v : a) {
-    scaled.push_back(1000 * v);
-  }
-  EXPECT_NEAR(jain_fairness_index(a), jain_fairness_index(scaled), 1e-12);
-  // (1+2+3+4)² / (4 · (1+4+9+16)) = 100/120.
-  EXPECT_NEAR(jain_fairness_index(a), 100.0 / 120.0, 1e-12);
-  // The uint64 overload (the per-connection counters path) agrees.
-  EXPECT_NEAR(jain_fairness_index(std::vector<std::uint64_t>{1, 2, 3, 4}),
-              100.0 / 120.0, 1e-12);
 }
 
 TEST(LoadStats, CoefficientOfVariation) {

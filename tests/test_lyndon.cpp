@@ -6,7 +6,7 @@
 #include "common/contract.hpp"
 #include "common/rng.hpp"
 #include "debruijn/sequence.hpp"
-#include "strings/lyndon.hpp"
+#include "oracle/lyndon.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::strings {

@@ -2,8 +2,8 @@
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
+#include "oracle/naive.hpp"
 #include "strings/matching.hpp"
-#include "strings/naive.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::strings {

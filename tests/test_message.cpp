@@ -2,8 +2,8 @@
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
-#include "core/routers.hpp"
 #include "net/message.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::net {

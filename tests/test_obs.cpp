@@ -16,12 +16,12 @@
 #include "core/batch_route_engine.hpp"
 #include "core/distance.hpp"
 #include "core/route_engine.hpp"
-#include "core/routers.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "testkit/conformance.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
+#include "testkit/conformance.hpp"
 
 namespace {
 

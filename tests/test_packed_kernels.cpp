@@ -1,10 +1,9 @@
 // The packed-vs-scalar differential battery (ISSUE 6 tentpole lock-in):
 // every SWAR kernel in strings/packed.hpp against its scalar reference —
 // the Morris–Pratt implementations in strings/failure.* and
-// strings/matching.*, the suffix-tree search behind core/common_substring,
-// and the brute-force oracles in strings/naive.* — over random words,
-// unequal lengths, every cell width, and the adversarial word/pair
-// families of the conformance fuzzer.
+// strings/matching.*, and the brute-force oracles in oracle/naive.* — over
+// random words, unequal lengths, every cell width, and the adversarial
+// word/pair families of the conformance fuzzer.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -12,12 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "common/contract.hpp"
-#include "core/common_substring.hpp"
 #include "core/path_builder.hpp"
 #include "core/route_engine.hpp"
+#include "oracle/common_substring.hpp"
+#include "oracle/kmp.hpp"
+#include "oracle/naive.hpp"
 #include "strings/failure.hpp"
 #include "strings/matching.hpp"
-#include "strings/naive.hpp"
 #include "strings/packed.hpp"
 #include "testing_util.hpp"
 #include "testkit/word_families.hpp"
@@ -89,15 +89,15 @@ TEST(PackedKernels, PackUnpackRoundTrip) {
       const std::size_t k = 1 + rng.below(p.max_k);
       const std::vector<Symbol> s = testing::random_symbols(rng, k, p.alphabet);
       const PackedBuf packed = strings::pack_word(s, p.alphabet);
-      EXPECT_EQ(strings::unpack(packed), s);
-      const PackedBuf rev = strings::pack_reversed(s, p.alphabet);
-      EXPECT_EQ(strings::unpack(rev), strings::reversed(s));
-      // The O(log) lane reversal must agree with packing backwards.
-      EXPECT_EQ(strings::reverse_cells(packed), rev);
-      EXPECT_EQ(strings::reverse_cells(rev), packed);
+      EXPECT_EQ(packed.size, k);
       for (std::size_t i = 0; i < k; ++i) {
         EXPECT_EQ(packed.get(i), s[i]);
       }
+      // The O(log) lane reversal must agree with packing the reversed word.
+      const PackedBuf rev =
+          strings::pack_word(strings::reversed(s), p.alphabet);
+      EXPECT_EQ(strings::reverse_cells(packed), rev);
+      EXPECT_EQ(strings::reverse_cells(rev), packed);
     }
   }
 }
@@ -351,93 +351,10 @@ TEST(PackedKernels, LongestCommonSubstringMatchesNaiveAndSuffixTree) {
                   a.begin() + static_cast<long>(ia + len),
                   b.begin() + static_cast<long>(ib));
       }
-      PackedBuf pa, pb;
-      pack_pair(a, b, pa, pb);
-      const int expected = strings::naive::longest_common_substring(a, b);
-      EXPECT_EQ(strings::longest_common_substring_packed(pa, pb), expected);
-      EXPECT_EQ(longest_common_substring_suffix_tree(a, b), expected);
-      // The packed-first front must agree regardless of which kernel ran.
-      EXPECT_EQ(longest_common_substring(a, b), expected);
+      EXPECT_EQ(longest_common_substring_suffix_tree(a, b),
+                strings::naive::longest_common_substring(a, b));
     }
   }
-}
-
-TEST(PackedKernels, LongestCommonSubstringFrontFallsBackUnpacked) {
-  // Symbols above the packable alphabet force the suffix-tree path of the
-  // front; the answer must not depend on the dispatch.
-  const std::vector<Symbol> a{100, 200, 300, 400, 500};
-  const std::vector<Symbol> b{900, 300, 400, 500, 100};
-  EXPECT_EQ(longest_common_substring(a, b), 3);
-  EXPECT_EQ(strings::naive::longest_common_substring(a, b), 3);
-}
-
-TEST(PackedKernels, BorderArrayMatchesScalar) {
-  DBN_SEEDED_RNG(rng, 0xb02d);
-  std::vector<int> packed_border;
-  for (const AlphabetParam& p : alphabet_grid()) {
-    for (int trial = 0; trial < 60; ++trial) {
-      const std::size_t k = 1 + rng.below(p.max_k);
-      const std::vector<Symbol> s = testing::random_symbols(rng, k, p.alphabet);
-      const PackedBuf packed = strings::pack_word(s, p.alphabet);
-      strings::border_array_packed(packed, packed_border);
-      EXPECT_EQ(packed_border, strings::border_array(s));
-      if (k <= 24) {
-        EXPECT_EQ(packed_border, strings::naive::border_array(s));
-      }
-    }
-  }
-  // Border-rich adversarial patterns (periodic, self-overlapping).
-  for (const std::vector<Symbol>& s : std::vector<std::vector<Symbol>>{
-           {0, 0, 0, 0, 0, 0, 0},
-           {0, 1, 0, 1, 0, 1, 0},
-           {0, 1, 0, 0, 1, 0, 0, 1, 0},
-           {0, 0, 1, 0, 0, 1, 0, 0},
-           {3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}}) {
-    const PackedBuf packed = strings::pack_word(s, 4);
-    strings::border_array_packed(packed, packed_border);
-    EXPECT_EQ(packed_border, strings::border_array(s));
-    EXPECT_EQ(packed_border, strings::naive::border_array(s));
-  }
-}
-
-TEST(PackedKernels, FindAllMatchesKmpAndNaive) {
-  DBN_SEEDED_RNG(rng, 0xf1d4);
-  std::vector<std::size_t> hits;
-  for (const AlphabetParam& p : alphabet_grid()) {
-    for (int trial = 0; trial < 80; ++trial) {
-      const std::size_t n = 1 + rng.below(p.max_k);
-      const std::size_t m = 1 + rng.below(n);
-      const std::vector<Symbol> text =
-          testing::random_symbols(rng, n, p.alphabet);
-      std::vector<Symbol> pattern;
-      if (rng.chance(0.6)) {
-        // A real window of the text: guaranteed occurrences.
-        const std::size_t at = rng.below(n - m + 1);
-        pattern.assign(text.begin() + static_cast<long>(at),
-                       text.begin() + static_cast<long>(at + m));
-      } else {
-        pattern = testing::random_symbols(rng, m, p.alphabet);
-      }
-      PackedBuf ptext, ppattern;
-      pack_pair(text, pattern, ptext, ppattern);
-      strings::find_all_packed(ptext, ppattern, hits);
-      const std::vector<std::size_t> expected =
-          strings::kmp_find_all(text, pattern);
-      EXPECT_EQ(hits, expected);
-      EXPECT_EQ(strings::naive::find_all(text, pattern), expected);
-    }
-  }
-  // Degenerate shapes: empty pattern matches everywhere, longer-than-text
-  // pattern nowhere.
-  const std::vector<Symbol> text{0, 1, 0};
-  PackedBuf ptext, pempty, plong;
-  ASSERT_TRUE(strings::try_pack(text, 2, ptext));
-  ASSERT_TRUE(strings::try_pack(std::vector<Symbol>{}, 2, pempty));
-  ASSERT_TRUE(strings::try_pack(std::vector<Symbol>{0, 1, 0, 1}, 2, plong));
-  strings::find_all_packed(ptext, pempty, hits);
-  EXPECT_EQ(hits, (std::vector<std::size_t>{0, 1, 2, 3}));
-  strings::find_all_packed(ptext, plong, hits);
-  EXPECT_TRUE(hits.empty());
 }
 
 // The route plan the engine made before the diagonal pass, and still makes
@@ -660,7 +577,7 @@ TEST(PackedKernels, DispatchersUsePackedAndScalarConsistently) {
       EXPECT_EQ(strings::suffix_prefix_overlap(x, y),
                 strings::naive::suffix_prefix_overlap(x, y));
       EXPECT_EQ(strings::kmp_find_all(x, y), strings::naive::find_all(x, y));
-      EXPECT_EQ(longest_common_substring(x, y),
+      EXPECT_EQ(longest_common_substring_suffix_tree(x, y),
                 strings::naive::longest_common_substring(x, y));
     }
   }

@@ -3,8 +3,8 @@
 #include <set>
 
 #include "common/contract.hpp"
-#include "core/path_count.hpp"
 #include "debruijn/bfs.hpp"
+#include "oracle/path_count.hpp"
 #include "testing_util.hpp"
 
 namespace dbn {

@@ -4,7 +4,7 @@
 // with the claimed overlap block of X actually present in Y.
 #include <gtest/gtest.h>
 
-#include "core/routers.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 #include "testkit/conformance.hpp"
 

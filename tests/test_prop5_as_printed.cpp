@@ -7,11 +7,11 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
-#include "core/common_substring.hpp"
 #include "core/distance.hpp"
 #include "core/path_builder.hpp"
-#include "core/prop5_as_printed.hpp"
 #include "debruijn/bfs.hpp"
+#include "oracle/common_substring.hpp"
+#include "oracle/prop5_as_printed.hpp"
 #include "strings/matching.hpp"
 #include "testing_util.hpp"
 

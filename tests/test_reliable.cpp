@@ -2,9 +2,9 @@
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
-#include "core/routers.hpp"
 #include "net/fault.hpp"
 #include "net/reliable.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::net {

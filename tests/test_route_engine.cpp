@@ -4,7 +4,7 @@
 #include "common/rng.hpp"
 #include "core/distance.hpp"
 #include "core/route_engine.hpp"
-#include "core/routers.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 #include "testkit/word_families.hpp"
 

@@ -8,6 +8,7 @@
 #include "core/distance.hpp"
 #include "core/routers.hpp"
 #include "debruijn/bfs.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn {

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "common/contract.hpp"
-#include "core/routing_table.hpp"
 #include "debruijn/bfs.hpp"
+#include "oracle/routing_table.hpp"
 #include "testing_util.hpp"
 
 namespace dbn {

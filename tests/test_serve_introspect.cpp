@@ -431,4 +431,35 @@ TEST(ServeIntrospect, SlowLogLatencyCoversTheResponseWrite) {
   conn->close();
 }
 
+// --- fairness index ---------------------------------------------------------
+//
+// Jain's index over per-connection request counts, the probe's `fairness`
+// member. It is a load statistic of the connections, hence the suite name.
+
+TEST(LoadStats, JainFairnessOfUniformIsOne) {
+  EXPECT_DOUBLE_EQ(jain_fairness_index(std::vector<std::uint64_t>{7, 7, 7}),
+                   1.0);
+  // Degenerate inputs read as perfectly fair, matching gini's convention.
+  EXPECT_DOUBLE_EQ(jain_fairness_index(std::vector<std::uint64_t>{}), 1.0);
+  EXPECT_DOUBLE_EQ(jain_fairness_index(std::vector<std::uint64_t>{0, 0}), 1.0);
+}
+
+TEST(LoadStats, JainFairnessOfConcentratedLoadIsOneOverN) {
+  // One active source among n: J = (Σx)² / (n·Σx²) = 1/n.
+  std::vector<std::uint64_t> values(10, 0);
+  values[3] = 42;
+  EXPECT_NEAR(jain_fairness_index(values), 0.1, 1e-12);
+}
+
+TEST(LoadStats, JainFairnessIsScaleInvariantAndMatchesClosedForm) {
+  const std::vector<std::uint64_t> a = {1, 2, 3, 4};
+  std::vector<std::uint64_t> scaled;
+  for (const std::uint64_t v : a) {
+    scaled.push_back(1000 * v);
+  }
+  EXPECT_NEAR(jain_fairness_index(a), jain_fairness_index(scaled), 1e-12);
+  // (1+2+3+4)² / (4 · (1+4+9+16)) = 100/120.
+  EXPECT_NEAR(jain_fairness_index(a), 100.0 / 120.0, 1e-12);
+}
+
 }  // namespace

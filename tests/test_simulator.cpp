@@ -3,9 +3,9 @@
 #include "common/contract.hpp"
 #include "common/rng.hpp"
 #include "core/distance.hpp"
-#include "core/routers.hpp"
 #include "net/simulator.hpp"
 #include "net/traffic.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::net {

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/route_engine.hpp"
 #include "core/routers.hpp"
 #include "net/adaptive.hpp"
 #include "net/fault.hpp"
 #include "net/simulator.hpp"
+#include "net/traffic.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::net {
@@ -218,6 +221,46 @@ TEST(SimulatorProperties, DeliveredLatenciesScaleWithLinkDelay) {
     EXPECT_DOUBLE_EQ(sim.stats().mean_latency(),
                      static_cast<double>(path.length()) * delay);
   }
+}
+
+TEST(SimulatorProperties, EngineSourceRoutesMatchTheSuffixTreeOracle) {
+  // `dbn simulate` source-routes through the engine. On unbounded queues
+  // nothing drops, so the oracle's routes and the engine's, both shortest,
+  // deliver every message over the same total hop count whatever witness
+  // each picked.
+  Rng rng(606);
+  const std::vector<Injection> schedule =
+      uniform_traffic(2, 6, 0.2, 60.0, rng);
+  ASSERT_FALSE(schedule.empty());
+  const auto run = [&schedule](bool engine_routes) {
+    SimConfig config;
+    config.radix = 2;
+    config.k = 6;
+    config.wildcard_policy = WildcardPolicy::Random;
+    Simulator sim(config);
+    BidirectionalRouteEngine engine(config.k);
+    for (const Injection& inj : schedule) {
+      const Word src = Word::from_rank(2, 6, inj.source);
+      const Word dst = Word::from_rank(2, 6, inj.destination);
+      RoutingPath path;
+      if (engine_routes) {
+        engine.route_into(src, dst, WildcardMode::Wildcards, path);
+      } else {
+        path = route_bidirectional_suffix_tree(src, dst,
+                                               WildcardMode::Wildcards);
+      }
+      sim.inject(inj.time,
+                 Message(ControlCode::Data, src, dst, std::move(path)));
+    }
+    sim.run();
+    return sim.stats();
+  };
+  const SimStats oracle = run(false);
+  const SimStats engine = run(true);
+  EXPECT_EQ(engine.injected, oracle.injected);
+  EXPECT_EQ(engine.delivered, oracle.delivered);
+  EXPECT_EQ(engine.total_hops, oracle.total_hops);
+  EXPECT_EQ(oracle.delivered, schedule.size());
 }
 
 }  // namespace

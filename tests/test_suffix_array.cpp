@@ -5,10 +5,10 @@
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
+#include "oracle/naive.hpp"
+#include "oracle/suffix_array.hpp"
+#include "oracle/suffix_tree.hpp"
 #include "strings/matching.hpp"
-#include "strings/naive.hpp"
-#include "strings/suffix_array.hpp"
-#include "strings/suffix_tree.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::strings {

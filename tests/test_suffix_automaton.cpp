@@ -5,8 +5,8 @@
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
+#include "oracle/naive.hpp"
 #include "strings/matching.hpp"
-#include "strings/naive.hpp"
 #include "strings/suffix_automaton.hpp"
 #include "testing_util.hpp"
 

@@ -5,7 +5,7 @@
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
-#include "strings/suffix_tree.hpp"
+#include "oracle/suffix_tree.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::strings {

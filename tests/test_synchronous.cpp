@@ -5,8 +5,8 @@
 #include "common/contract.hpp"
 #include "common/rng.hpp"
 #include "core/distance.hpp"
-#include "core/routers.hpp"
 #include "net/synchronous.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::net {

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "core/routers.hpp"
 #include "net/simulator.hpp"
+#include "oracle/routers.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::net {

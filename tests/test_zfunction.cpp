@@ -2,9 +2,9 @@
 
 #include "common/contract.hpp"
 #include "common/rng.hpp"
+#include "oracle/naive.hpp"
+#include "oracle/zfunction.hpp"
 #include "strings/matching.hpp"
-#include "strings/naive.hpp"
-#include "strings/zfunction.hpp"
 #include "testing_util.hpp"
 
 namespace dbn::strings {

@@ -1,6 +1,6 @@
 // dbn — command-line front end to the debruijn-routing library.
 //
-//   dbn route <d> <k> <X> <Y> [--algorithm=uni|mp|st|sam|bfs] [--wildcards]
+//   dbn route <d> <k> <X> <Y> [--algorithm=engine|uni|bfs] [--wildcards]
 //   dbn distance <d> <k> <X> <Y>
 //   dbn graph <d> <k> [--directed]
 //   dbn export-dot <d> <k> [--directed] [--ranks]
@@ -20,9 +20,13 @@
 // --trace-sample=N (trace 1-in-N requests end to end, deterministic in
 // --trace-seed) and --slow-us=T (slow-request log threshold).
 //
-// Words are digit strings, e.g. "0110" for (0,1,1,0); digits above 9 are
-// not supported on the command line (the library itself has no such
-// limit). Exit status 0 on success, 1 on usage errors.
+// Bi-directional routes (`route`, the default `engine` algorithm, and the
+// source routes of `simulate`) come from BidirectionalRouteEngine.
+//
+// <d> and <k> must parse whole as unsigned numbers. Words are digit
+// strings, e.g. "0110" for (0,1,1,0); digits above 9 are not supported on
+// the command line (the library itself has no such limit). Exit status 0
+// on success, 1 on usage errors.
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
@@ -39,6 +43,7 @@
 #include "core/average_distance.hpp"
 #include "core/bfs_router.hpp"
 #include "core/distance.hpp"
+#include "core/route_engine.hpp"
 #include "core/routers.hpp"
 #include "debruijn/bfs.hpp"
 #include "debruijn/dot.hpp"
@@ -59,7 +64,7 @@ using namespace dbn;
 
 void usage(std::ostream& out) {
   out << "usage:\n"
-         "  dbn route <d> <k> <X> <Y> [--algorithm=uni|mp|st|sam|bfs] "
+         "  dbn route <d> <k> <X> <Y> [--algorithm=engine|uni|bfs] "
          "[--wildcards]\n"
          "  dbn distance <d> <k> <X> <Y>\n"
          "  dbn graph <d> <k> [--directed]\n"
@@ -117,24 +122,21 @@ int cmd_route(std::uint32_t d, std::size_t k,
   const Word x = parse_word(d, k, args[0]);
   const Word y = parse_word(d, k, args[1]);
   const std::string algorithm =
-      std::string(flag_value(args, "--algorithm").value_or("st"));
+      std::string(flag_value(args, "--algorithm").value_or("engine"));
   const WildcardMode mode = has_flag(args, "--wildcards")
                                 ? WildcardMode::Wildcards
                                 : WildcardMode::Concrete;
   RoutingPath path;
-  if (algorithm == "uni") {
+  if (algorithm == "engine") {
+    BidirectionalRouteEngine engine(k);
+    engine.route_into(x, y, mode, path);
+  } else if (algorithm == "uni") {
     path = route_unidirectional(x, y);
-  } else if (algorithm == "mp") {
-    path = route_bidirectional_mp(x, y, mode);
-  } else if (algorithm == "st") {
-    path = route_bidirectional_suffix_tree(x, y, mode);
-  } else if (algorithm == "sam") {
-    path = route_bidirectional_suffix_automaton(x, y, mode);
   } else if (algorithm == "bfs") {
     const DeBruijnGraph g(d, k, Orientation::Undirected);
     path = route_bfs(g, x, y);
   } else {
-    std::cerr << "unknown algorithm: " << algorithm << "\n";
+    std::cerr << "unknown algorithm: " << algorithm << " (engine|uni|bfs)\n";
     return 1;
   }
   std::cout << "route " << x.to_string() << " -> " << y.to_string() << " ["
@@ -329,15 +331,16 @@ int cmd_simulate(std::uint32_t d, std::size_t k,
     return 1;
   }
   net::Simulator sim(config);
+  BidirectionalRouteEngine engine(k);
   Rng rng(42);
   for (const net::Injection& inj :
        net::uniform_traffic(d, k, *rate, *duration, rng)) {
     const Word src = Word::from_rank(d, k, inj.source);
     const Word dst = Word::from_rank(d, k, inj.destination);
-    sim.inject(inj.time,
-               net::Message(net::ControlCode::Data, src, dst,
-                            route_bidirectional_suffix_tree(
-                                src, dst, WildcardMode::Wildcards)));
+    RoutingPath path;
+    engine.route_into(src, dst, WildcardMode::Wildcards, path);
+    sim.inject(inj.time, net::Message(net::ControlCode::Data, src, dst,
+                                      std::move(path)));
   }
   sim.run();
   net::record_sim_metrics(obs::MetricsRegistry::global(), sim);
@@ -455,10 +458,20 @@ int main(int argc, char** argv) {
   dbn::tools::ObsWriter obs_writer;
   try {
     const std::string_view command = args[0];
-    const auto d = static_cast<std::uint32_t>(
-        std::atoi(std::string(args[1]).c_str()));
-    const auto k =
-        static_cast<std::size_t>(std::atoi(std::string(args[2]).c_str()));
+    // <d> and <k> parse whole, like every numeric flag: "4x" is a usage
+    // error, not a 4.
+    const auto d_arg = tools::parse_number<std::uint32_t>(args[1]);
+    const auto k_arg = tools::parse_number<std::size_t>(args[2]);
+    if (!d_arg || !k_arg) {
+      const bool bad_d = !d_arg;
+      std::cerr << "dbn: bad value for "
+                << (bad_d ? "<d>" : command == "sequence" ? "<n>" : "<k>")
+                << ": '" << args[bad_d ? 1 : 2] << "'\n";
+      usage(std::cerr);
+      return 1;
+    }
+    const std::uint32_t d = *d_arg;
+    const std::size_t k = *k_arg;
     const std::vector<std::string_view> rest(args.begin() + 3, args.end());
     const std::string interval_text =
         std::string(flag_value(rest, "--metrics-interval").value_or("1000"));

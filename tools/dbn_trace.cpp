@@ -1,6 +1,6 @@
 // dbn_trace — route one pair with tracing on and pretty-print the span tree.
 //
-//   dbn_trace <d> <k> <X> <Y> [--algorithm=engine|uni|mp|st|sam]
+//   dbn_trace <d> <k> <X> <Y> [--algorithm=engine|uni]
 //             [--wildcards] [--trace-out=FILE] [--metrics-out=FILE]
 //
 // Routes X -> Y with a memory trace sink installed, then renders the
@@ -12,7 +12,8 @@
 //
 // With --trace-out the same events are re-exported to FILE (trace/1
 // NDJSON, or Chrome trace_event JSON when FILE ends in ".json");
-// --metrics-out snapshots the global metrics registry.
+// --metrics-out snapshots the global metrics registry. <d> and <k> must
+// parse whole as unsigned numbers; exit status 1 on usage errors.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -29,6 +30,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parse_number.hpp"
 
 namespace {
 
@@ -36,7 +38,7 @@ using namespace dbn;
 
 void usage(std::ostream& out) {
   out << "usage:\n"
-         "  dbn_trace <d> <k> <X> <Y> [--algorithm=engine|uni|mp|st|sam]\n"
+         "  dbn_trace <d> <k> <X> <Y> [--algorithm=engine|uni]\n"
          "            [--wildcards] [--trace-out=FILE] [--metrics-out=FILE]\n"
          "routes X -> Y with tracing enabled and prints the span tree;\n"
          "--trace-out writes "
@@ -162,10 +164,17 @@ bool export_events(const std::string& path,
 }
 
 int run(const std::vector<std::string_view>& args) {
-  const auto d =
-      static_cast<std::uint32_t>(std::atoi(std::string(args[0]).c_str()));
-  const auto k =
-      static_cast<std::size_t>(std::atoi(std::string(args[1]).c_str()));
+  const auto d_arg = tools::parse_number<std::uint32_t>(args[0]);
+  const auto k_arg = tools::parse_number<std::size_t>(args[1]);
+  if (!d_arg || !k_arg) {
+    const bool bad_d = !d_arg;
+    std::cerr << "dbn_trace: bad value for " << (bad_d ? "<d>" : "<k>")
+              << ": '" << args[bad_d ? 0 : 1] << "'\n";
+    usage(std::cerr);
+    return 1;
+  }
+  const std::uint32_t d = *d_arg;
+  const std::size_t k = *k_arg;
   DBN_REQUIRE(d >= 2, "radix must be at least 2");
   DBN_REQUIRE(k >= 1, "diameter must be at least 1");
   const Word x = parse_word(d, k, args[2]);
@@ -185,16 +194,9 @@ int run(const std::vector<std::string_view>& args) {
     engine.route_into(x, y, mode, path);
   } else if (algorithm == "uni") {
     path = route_unidirectional(x, y);
-  } else if (algorithm == "mp") {
-    path = route_bidirectional_mp(x, y, mode);
-  } else if (algorithm == "st") {
-    path = route_bidirectional_suffix_tree(x, y, mode);
-  } else if (algorithm == "sam") {
-    path = route_bidirectional_suffix_automaton(x, y, mode);
   } else {
     obs::set_trace_sink(nullptr);
-    std::cerr << "unknown algorithm: " << algorithm
-              << " (engine|uni|mp|st|sam)\n";
+    std::cerr << "unknown algorithm: " << algorithm << " (engine|uni)\n";
     return 1;
   }
   obs::set_trace_sink(nullptr);
