@@ -48,6 +48,13 @@ House rules (each one exists because the generic tooling cannot express it):
                       oracle/ header, so production code and its link lines
                       stay free of dbn_oracle. Tests and benches may.
 
+  argv-parse          Every tool reads its command line through one parser,
+                      tools/args.hpp (both flag forms, whole-number parsing,
+                      usage errors). A private flag_value/has_flag or a
+                      std::ato*/std::sto*/strto* call in tools/ outside that
+                      header is a second parser: atoi("abc") is a silent 0,
+                      stod("1x") a silent 1.
+
 Suppressing a finding requires an inline justification on the same line:
     ... // dbn-lint: allow(<rule>) <reason>
 
@@ -104,11 +111,20 @@ DBN_MUTEX_DECL_RE = re.compile(
 TSA_EXEMPTION_RE = re.compile(r"\bDBN_NO_THREAD_SAFETY_ANALYSIS\b")
 # The src/ subdirectories that may include oracle/ headers.
 ORACLE_INCLUDERS = ("oracle", "testkit")
+# A C/C++ text-to-number call or a hand-rolled flag lookup; `.store(`,
+# `->stop(` and similar members do not match.
+ARGV_PARSE_RE = re.compile(
+    r"(?<![A-Za-z0-9_.>])(?:std\s*::\s*)?"
+    r"(?:ato(?:i|l|ll|f)|sto(?:i|l|ll|ul|ull|f|d|ld)"
+    r"|strto(?:l|ll|ul|ull|f|d|ld|imax|umax))\s*\("
+    r"|(?<![A-Za-z0-9_])(?:flag_value|has_flag)\s*\("
+)
+ARGS_HEADER = Path("tools") / "args.hpp"
 
 KNOWN_RULES = frozenset({
     "naked-assert", "std-rand", "raw-new", "schema-literal",
     "include-order", "mutex-needs-annotation", "tsa-exemption",
-    "oracle-include",
+    "oracle-include", "argv-parse",
 })
 
 
@@ -263,6 +279,17 @@ class Linter:
                             f'production code includes "{m.group(2)}"; '
                             "oracle/ is for tests, the testkit and benches "
                             "(production routes run core/route_engine.hpp)",
+                        )
+
+            if top == "tools" and rel != ARGS_HEADER:
+                if ARGV_PARSE_RE.search(bare):
+                    fired.add("argv-parse")
+                    if "argv-parse" not in allowed:
+                        self.report(
+                            path, lineno, "argv-parse",
+                            "tools parse argv with tools/args.hpp "
+                            "(ArgParser, parse_number); no private flag "
+                            "lookup or ato*/sto*/strto* call",
                         )
 
             # Stale-suppression audit. include-order is checked in its own

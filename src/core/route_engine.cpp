@@ -12,8 +12,6 @@ namespace dbn {
 BidirectionalRouteEngine::BidirectionalRouteEngine(std::size_t max_k)
     : max_k_(max_k) {
   DBN_REQUIRE(max_k_ >= 1, "engine needs max_k >= 1");
-  x_.reserve(max_k_);
-  y_.reserve(max_k_);
   xr_.reserve(max_k_);
   yr_.reserve(max_k_);
   border_.reserve(max_k_);
@@ -64,82 +62,11 @@ void BidirectionalRouteEngine::side_minima(const Word& x, const Word& y,
                                  l_side.cost));
     return;
   }
-  x_.assign(x.symbols().begin(), x.symbols().end());
-  y_.assign(y.symbols().begin(), y.symbols().end());
   xr_.assign(x.symbols().rbegin(), x.symbols().rend());
   yr_.assign(y.symbols().rbegin(), y.symbols().rend());
-  l_side = min_l_cost_inplace(x_, y_, k);
-  r_side = r_side_from_reversed(static_cast<int>(k),
-                                min_l_cost_inplace(xr_, yr_, k));
-}
-
-strings::OverlapMin BidirectionalRouteEngine::min_l_cost_inplace(
-    const std::vector<strings::Symbol>& x,
-    const std::vector<strings::Symbol>& y, std::size_t k) {
-  // Algorithm 3 rows with the border buffer reused across rows; logic
-  // identical to strings::min_l_cost (tested for equality).
-  const int ki = static_cast<int>(k);
-  strings::OverlapMin best;
-  best.cost = 2 * ki;
-  for (int i = 1; i <= ki; ++i) {
-    const std::size_t i0 = static_cast<std::size_t>(i - 1);
-    const std::size_t m = k - i0;  // pattern length
-    border_.assign(m, 0);
-    int q = 0;
-    for (std::size_t idx = 1; idx < m; ++idx) {
-      while (q > 0 && x[i0 + static_cast<std::size_t>(q)] != x[i0 + idx]) {
-        q = border_[static_cast<std::size_t>(q) - 1];
-      }
-      if (x[i0 + static_cast<std::size_t>(q)] == x[i0 + idx]) {
-        ++q;
-      }
-      border_[idx] = q;
-    }
-    q = 0;
-    for (int j = 1; j <= ki; ++j) {
-      const strings::Symbol c = y[static_cast<std::size_t>(j - 1)];
-      if (q == static_cast<int>(m)) {
-        q = border_[static_cast<std::size_t>(q) - 1];
-      }
-      while (q > 0 && x[i0 + static_cast<std::size_t>(q)] != c) {
-        q = border_[static_cast<std::size_t>(q) - 1];
-      }
-      if (x[i0 + static_cast<std::size_t>(q)] == c) {
-        ++q;
-      }
-      const int cost = 2 * ki - 1 + i - j - q;
-      if (cost < best.cost) {
-        best = strings::OverlapMin{cost, i, j, q};
-      }
-    }
-    // Morris–Pratt failure bounds: a border is a proper prefix, and the
-    // match length never exceeds what the pattern row offers.
-    DBN_AUDIT(std::all_of(border_.begin(), border_.end(),
-                          [n = 0](int b) mutable { return b <= n++; }),
-              "border array entries must be proper-prefix lengths");
-  }
-  DBN_ASSERT(best.cost <= ki, "l-side minimum must not exceed the diameter");
-  // Theorem 2 witness validity: the minimizer must be in range, reproduce
-  // its own cost, and (audit level) actually match the θ-length block
-  // x_s..x_{s+θ-1} = y_{t-θ+1}..y_t it claims.
-  DBN_ENSURE(best.s >= 1 && best.s <= ki && best.t >= 1 && best.t <= ki &&
-                 best.theta >= 0 && best.theta <= best.t &&
-                 best.theta <= ki - best.s + 1,
-             "l-side witness (s, t, theta) out of range");
-  DBN_ENSURE(best.cost == 2 * ki - 1 + best.s - best.t - best.theta,
-             "l-side witness does not reproduce its cost");
-  DBN_AUDIT(
-      [&] {
-        for (int m = 0; m < best.theta; ++m) {
-          if (x[static_cast<std::size_t>(best.s - 1 + m)] !=
-              y[static_cast<std::size_t>(best.t - best.theta + m)]) {
-            return false;
-          }
-        }
-        return true;
-      }(),
-      "l-side witness block does not match");
-  return best;
+  l_side = strings::min_l_cost_buffered(x.symbols(), y.symbols(), border_);
+  r_side = r_side_from_reversed(
+      static_cast<int>(k), strings::min_l_cost_buffered(xr_, yr_, border_));
 }
 
 int BidirectionalRouteEngine::distance(const Word& x, const Word& y) {

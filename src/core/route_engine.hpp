@@ -62,13 +62,8 @@ class BidirectionalRouteEngine {
   void side_minima(const Word& x, const Word& y, strings::OverlapMin& l_side,
                    strings::OverlapMin& r_side);
 
-  /// The l-side minimum via the reusable Morris–Pratt row buffers.
-  strings::OverlapMin min_l_cost_inplace(const std::vector<strings::Symbol>& x,
-                                         const std::vector<strings::Symbol>& y,
-                                         std::size_t k);
-
   std::size_t max_k_;
-  std::vector<strings::Symbol> x_, y_, xr_, yr_;
+  std::vector<strings::Symbol> xr_, yr_;
   std::vector<int> border_;
 };
 

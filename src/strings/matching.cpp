@@ -59,25 +59,81 @@ std::vector<std::vector<int>> matching_table_r(SymbolView x, SymbolView y) {
 }
 
 OverlapMin min_l_cost(SymbolView x, SymbolView y) {
+  std::vector<int> border;
+  return min_l_cost_buffered(x, y, border);
+}
+
+OverlapMin min_l_cost_buffered(SymbolView x, SymbolView y,
+                               std::vector<int>& border) {
   DBN_REQUIRE(!x.empty() && x.size() == y.size(),
               "min_l_cost requires two non-empty words of equal length");
-  const int k = static_cast<int>(x.size());
+  // Algorithm 3 once per row i: the pattern is x_i..x_k, its failure
+  // function goes into `border`, and the MP automaton runs over y, capping
+  // at the pattern length (matching_row_l, without the row vector).
+  const std::size_t k = x.size();
+  const int ki = static_cast<int>(k);
   OverlapMin best;
-  best.cost = 2 * k;  // larger than any reachable value (min <= k, see below)
-  for (int i = 1; i <= k; ++i) {
-    const std::vector<int> row =
-        matching_row_l(x, y, static_cast<std::size_t>(i - 1));
-    for (int j = 1; j <= k; ++j) {
-      const int lij = row[static_cast<std::size_t>(j - 1)];
-      const int cost = 2 * k - 1 + i - j - lij;
+  best.cost = 2 * ki;  // larger than any reachable value (min <= k, see below)
+  for (int i = 1; i <= ki; ++i) {
+    const std::size_t i0 = static_cast<std::size_t>(i - 1);
+    const std::size_t m = k - i0;  // pattern length
+    border.assign(m, 0);
+    int q = 0;
+    for (std::size_t idx = 1; idx < m; ++idx) {
+      while (q > 0 && x[i0 + static_cast<std::size_t>(q)] != x[i0 + idx]) {
+        q = border[static_cast<std::size_t>(q) - 1];
+      }
+      if (x[i0 + static_cast<std::size_t>(q)] == x[i0 + idx]) {
+        ++q;
+      }
+      border[idx] = q;
+    }
+    q = 0;
+    for (int j = 1; j <= ki; ++j) {
+      const Symbol c = y[static_cast<std::size_t>(j - 1)];
+      if (q == static_cast<int>(m)) {
+        q = border[static_cast<std::size_t>(q) - 1];
+      }
+      while (q > 0 && x[i0 + static_cast<std::size_t>(q)] != c) {
+        q = border[static_cast<std::size_t>(q) - 1];
+      }
+      if (x[i0 + static_cast<std::size_t>(q)] == c) {
+        ++q;
+      }
+      const int cost = 2 * ki - 1 + i - j - q;
       if (cost < best.cost) {
-        best = OverlapMin{cost, i, j, lij};
+        best = OverlapMin{cost, i, j, q};
       }
     }
+    // Morris–Pratt failure bounds: a border is a proper prefix, and the
+    // match length never exceeds what the pattern row offers.
+    DBN_AUDIT(std::all_of(border.begin(), border.end(),
+                          [n = 0](int b) mutable { return b <= n++; }),
+              "border array entries must be proper-prefix lengths");
   }
   // The term (i=1, j=k) is bounded by 2k-1+1-k-0 = k, so the minimum never
   // exceeds k (the trivial all-left-shift path of Section 2).
-  DBN_ASSERT(best.cost <= k, "l-side minimum must not exceed the diameter");
+  DBN_ASSERT(best.cost <= ki, "l-side minimum must not exceed the diameter");
+  // Theorem 2 witness validity: the minimizer must be in range, reproduce
+  // its own cost, and (audit level) actually match the θ-length block
+  // x_s..x_{s+θ-1} = y_{t-θ+1}..y_t it claims.
+  DBN_ENSURE(best.s >= 1 && best.s <= ki && best.t >= 1 && best.t <= ki &&
+                 best.theta >= 0 && best.theta <= best.t &&
+                 best.theta <= ki - best.s + 1,
+             "l-side witness (s, t, theta) out of range");
+  DBN_ENSURE(best.cost == 2 * ki - 1 + best.s - best.t - best.theta,
+             "l-side witness does not reproduce its cost");
+  DBN_AUDIT(
+      [&] {
+        for (int n = 0; n < best.theta; ++n) {
+          if (x[static_cast<std::size_t>(best.s - 1 + n)] !=
+              y[static_cast<std::size_t>(best.t - best.theta + n)]) {
+            return false;
+          }
+        }
+        return true;
+      }(),
+      "l-side witness block does not match");
   return best;
 }
 

@@ -55,4 +55,10 @@ struct OverlapMin {
 /// on the reversed words; see core/path_builder.hpp for the mapping.
 OverlapMin min_l_cost(SymbolView x, SymbolView y);
 
+/// min_l_cost with each row's failure function in the caller's `border`
+/// buffer, so a caller that keeps the buffer allocates nothing once it has
+/// grown to k.
+OverlapMin min_l_cost_buffered(SymbolView x, SymbolView y,
+                               std::vector<int>& border);
+
 }  // namespace dbn::strings

@@ -58,6 +58,10 @@ TEST(RouteEngine, MatchesAllocatingRouterPastOneLane) {
         EXPECT_EQ(path.apply(x), y) << "path=" << path.to_string();
         EXPECT_EQ(engine.distance(x, y),
                   static_cast<int>(reference.length()));
+        // The in-place scan (d > 16, or past the widest lane) and the MP
+        // router run the same Algorithm 3 code, so the suffix automaton
+        // is the independent check there.
+        EXPECT_EQ(engine.distance(x, y), undirected_distance(x, y));
       }
     }
   };

@@ -31,7 +31,7 @@
 // --metrics-out PATH snapshots the global metrics registry (batch.* query
 // and cache counters accumulated across the whole sweep) as metrics/1.
 //
-// Exit status: 0 ok, 2 usage error, 3 failed speedup check.
+// Exit status 3: failed speedup check.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -41,6 +41,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -48,8 +49,8 @@
 #include "common/rng.hpp"
 #include "common/schema.hpp"
 #include "core/batch_route_engine.hpp"
+#include "args.hpp"
 #include "obs_flags.hpp"
-#include "parse_number.hpp"
 
 namespace {
 
@@ -86,15 +87,6 @@ struct ResultRow {
   double cache_hit_rate = 0.0;
 };
 
-std::optional<BatchBackend> parse_backend(const std::string& name) {
-  if (name == "alg1-directed" || name == "alg1") {
-    return BatchBackend::Alg1Directed;
-  }
-  if (name == "bidi-engine" || name == "engine") {
-    return BatchBackend::BidiEngine;
-  }
-  return std::nullopt;
-}
 
 // The speedup gate's thread count: a host can only show the parallelism
 // its hardware threads allow.
@@ -104,16 +96,34 @@ std::size_t gate_threads(const BenchConfig& config) {
       std::max(1u, std::thread::hardware_concurrency()));
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> parts;
-  std::stringstream stream(text);
-  std::string part;
-  while (std::getline(stream, part, ',')) {
-    if (!part.empty()) {
-      parts.push_back(part);
+// A CSV list, empty items skipped, with each item mapped by `parse`;
+// std::nullopt if any item does not map.
+template <typename T>
+std::optional<std::vector<T>> parse_csv(
+    std::string_view text, std::optional<T> (*parse)(std::string_view)) {
+  std::vector<T> items;
+  std::stringstream stream{std::string(text)};
+  for (std::string part; std::getline(stream, part, ',');) {
+    if (part.empty()) {
+      continue;
     }
+    const std::optional<T> item = parse(part);
+    if (!item) {
+      return std::nullopt;
+    }
+    items.push_back(*item);
   }
-  return parts;
+  return items;
+}
+
+std::optional<BatchBackend> parse_backend(std::string_view name) {
+  if (name == "alg1-directed" || name == "alg1") {
+    return BatchBackend::Alg1Directed;
+  }
+  if (name == "bidi-engine" || name == "engine") {
+    return BatchBackend::BidiEngine;
+  }
+  return std::nullopt;
 }
 
 std::vector<RouteQuery> make_queries(const BenchConfig& config) {
@@ -253,125 +263,36 @@ void usage(std::ostream& out) {
          "backends: alg1-directed bidi-engine\n";
 }
 
-std::optional<BenchConfig> parse_args(int argc, char** argv) {
-  BenchConfig config;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  std::vector<std::string> flat;
-  for (const std::string& arg : args) {
-    const auto eq = arg.find('=');
-    if (arg.starts_with("--") && eq != std::string::npos) {
-      flat.push_back(arg.substr(0, eq));
-      flat.push_back(arg.substr(eq + 1));
-    } else {
-      flat.push_back(arg);
-    }
-  }
-  const auto take_value = [&flat](std::size_t& i) -> std::optional<std::string> {
-    if (i + 1 >= flat.size()) {
-      return std::nullopt;
-    }
-    return flat[++i];
-  };
+// Fills `config` from argv; returns the status to exit with, or
+// std::nullopt to run.
+std::optional<int> parse_args(int argc, char** argv, BenchConfig& config) {
   // --smoke gates at 3x unless --min-speedup says otherwise (0 = off).
-  bool min_speedup_given = false;
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    const std::string& arg = flat[i];
-    // Every numeric flag parses whole into its field's type.
-    const auto number = [&](auto& out_value) -> bool {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_bench: " << arg << " needs a value\n";
-        return false;
-      }
-      using Value = std::remove_reference_t<decltype(out_value)>;
-      const auto parsed = tools::parse_number<Value>(*text);
-      if (!parsed) {
-        std::cerr << "dbn_bench: bad number for " << arg << ": '" << *text
-                  << "'\n";
-        return false;
-      }
-      out_value = *parsed;
-      return true;
-    };
-    if (arg == "--smoke") {
-      config.smoke = true;
-    } else if (arg == "--d") {
-      if (!number(config.d)) return std::nullopt;
-    } else if (arg == "--k") {
-      if (!number(config.k)) return std::nullopt;
-    } else if (arg == "--queries") {
-      if (!number(config.queries)) return std::nullopt;
-    } else if (arg == "--repeats") {
-      if (!number(config.repeats)) return std::nullopt;
-    } else if (arg == "--cache") {
-      if (!number(config.cache_entries)) return std::nullopt;
-    } else if (arg == "--flows") {
-      if (!number(config.flows)) return std::nullopt;
-    } else if (arg == "--speedup-threads") {
-      if (!number(config.speedup_threads)) return std::nullopt;
-    } else if (arg == "--min-speedup") {
-      if (!number(config.min_speedup)) return std::nullopt;
-      min_speedup_given = true;
-    } else if (arg == "--threads") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_bench: --threads needs a CSV list\n";
-        return std::nullopt;
-      }
-      config.threads.clear();
-      for (const std::string& part : split_csv(*text)) {
-        const auto threads = tools::parse_number<std::size_t>(part);
-        if (!threads) {
-          std::cerr << "dbn_bench: bad thread count '" << part << "'\n";
-          return std::nullopt;
-        }
-        config.threads.push_back(*threads);
-      }
-    } else if (arg == "--backends") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_bench: --backends needs a CSV list\n";
-        return std::nullopt;
-      }
-      config.backends.clear();
-      for (const std::string& part : split_csv(*text)) {
-        const auto backend = parse_backend(part);
-        if (!backend) {
-          std::cerr << "dbn_bench: unknown backend " << part << "\n";
-          return std::nullopt;
-        }
-        config.backends.push_back(*backend);
-      }
-    } else if (arg == "--json") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_bench: --json needs a path\n";
-        return std::nullopt;
-      }
-      config.json_path = *text;
-    } else if (arg == "--trace-out") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_bench: --trace-out needs a path\n";
-        return std::nullopt;
-      }
-      config.trace_out = *text;
-    } else if (arg == "--metrics-out") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_bench: --metrics-out needs a path\n";
-        return std::nullopt;
-      }
-      config.metrics_out = *text;
-    } else if (arg == "--quiet") {
-      config.quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "dbn_bench: unknown argument " << arg << "\n";
-      return std::nullopt;
-    }
+  std::optional<double> min_speedup;
+  tools::ArgParser parser("dbn_bench", 2, usage);
+  parser.flag("--smoke", config.smoke)
+      .flag("--d", config.d)
+      .flag("--k", config.k)
+      .flag("--queries", config.queries)
+      .flag("--repeats", config.repeats)
+      .flag("--threads", config.threads,
+            [](std::string_view text) {
+              return parse_csv(text, tools::parse_number<std::size_t>);
+            })
+      .flag("--backends", config.backends,
+            [](std::string_view text) {
+              return parse_csv(text, parse_backend);
+            })
+      .flag("--cache", config.cache_entries)
+      .flag("--flows", config.flows)
+      .flag("--json", config.json_path)
+      .flag("--min-speedup", min_speedup)
+      .flag("--speedup-threads", config.speedup_threads)
+      .flag("--trace-out", config.trace_out)
+      .flag("--metrics-out", config.metrics_out)
+      .flag("--quiet", config.quiet);
+  if (const auto status =
+          parser.parse(std::vector<std::string_view>(argv + 1, argv + argc))) {
+    return status;
   }
   if (config.smoke) {
     config.d = 2;
@@ -380,10 +301,8 @@ std::optional<BenchConfig> parse_args(int argc, char** argv) {
     config.repeats = 3;
     config.threads = {1, 2, 4, 8};
     config.backends = {BatchBackend::Alg1Directed, BatchBackend::BidiEngine};
-    if (!min_speedup_given) {
-      config.min_speedup = 3.0;
-    }
   }
+  config.min_speedup = min_speedup.value_or(config.smoke ? 3.0 : 0.0);
   if (config.min_speedup > 0.0) {
     for (const std::size_t t : {std::size_t{1}, gate_threads(config)}) {
       if (std::find(config.threads.begin(), config.threads.end(), t) ==
@@ -393,27 +312,23 @@ std::optional<BenchConfig> parse_args(int argc, char** argv) {
     }
   }
   if (config.d == 0 || config.k == 0) {
-    std::cerr << "dbn_bench: --d and --k must be at least 1\n";
-    return std::nullopt;
+    return parser.fail("--d and --k must be at least 1");
   }
   if (config.threads.empty() || config.backends.empty() ||
       config.queries == 0 || config.repeats == 0) {
-    std::cerr << "dbn_bench: empty sweep\n";
-    return std::nullopt;
+    return parser.fail("empty sweep");
   }
-  return config;
+  return std::nullopt;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const auto parsed = parse_args(argc, argv);
-    if (!parsed) {
-      usage(std::cerr);
-      return 2;
+    BenchConfig config;
+    if (const auto status = parse_args(argc, argv, config)) {
+      return *status;
     }
-    const BenchConfig& config = *parsed;
     std::vector<ResultRow> rows;
     {
       BenchConfig uniform = config;

@@ -7,10 +7,9 @@
 //   dbn_chaos --replay <scenario.chaos | directory>
 //             [--policy source|greedy|deflect|layer]
 //
-// Flags accept both "--flag value" and "--flag=value". Both modes accept
-// --trace-out FILE (simulator send/deliver/drop/fault events plus the
-// reliable-transfer attempt stream, as trace/1 NDJSON, or Chrome
-// trace_event JSON when FILE ends in ".json") and --metrics-out FILE
+// Both modes accept --trace-out FILE (simulator send/deliver/drop/fault
+// events plus the reliable-transfer attempt stream, as trace/1 NDJSON, or
+// Chrome trace_event JSON when FILE ends in ".json") and --metrics-out FILE
 // (metrics/1 snapshot of the global registry after the run).
 //
 // The fuzz loop samples random fault schedules + traffic, runs each
@@ -21,16 +20,17 @@
 // upload the directory as an artifact.
 //
 // Exit status: 0 when every scenario holds every invariant, 1 on any
-// violation, 2 on usage errors.
-#include <cstdlib>
+// violation.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "args.hpp"
 #include "common/contract.hpp"
 #include "obs_flags.hpp"
 #include "testkit/chaos.hpp"
@@ -56,129 +56,29 @@ struct ParsedArgs {
   std::string trace_out;
   std::string metrics_out;
   bool quiet = false;
-  bool ok = true;
   testkit::ChaosFuzzOptions fuzz;
 };
 
-std::optional<std::uint64_t> parse_u64(const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(text, &used);
-    if (used != text.size()) {
-      return std::nullopt;
-    }
-    return value;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-ParsedArgs parse_args(int argc, char** argv) {
-  ParsedArgs parsed;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  std::vector<std::string> flat;
-  for (const std::string& a : args) {
-    const auto eq = a.find('=');
-    if (a.starts_with("--") && eq != std::string::npos) {
-      flat.push_back(a.substr(0, eq));
-      flat.push_back(a.substr(eq + 1));
-    } else {
-      flat.push_back(a);
-    }
-  }
-  const auto take_value = [&flat](std::size_t& i) -> std::optional<std::string> {
-    if (i + 1 >= flat.size()) {
-      return std::nullopt;
-    }
-    return flat[++i];
-  };
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    const std::string& arg = flat[i];
-    const auto number = [&](std::uint64_t& out) {
-      const auto text = take_value(i);
-      const auto value = text ? parse_u64(*text) : std::nullopt;
-      if (!value) {
-        std::cerr << "dbn_chaos: " << arg << " needs a number\n";
-        parsed.ok = false;
-        return;
-      }
-      out = *value;
-    };
-    if (arg == "--seed") {
-      number(parsed.fuzz.seed);
-    } else if (arg == "--iters") {
-      number(parsed.fuzz.iterations);
-    } else if (arg == "--max-failures") {
-      std::uint64_t value = parsed.fuzz.max_failures;
-      number(value);
-      parsed.fuzz.max_failures = static_cast<std::size_t>(value);
-    } else if (arg == "--time-budget") {
-      const auto text = take_value(i);
-      try {
-        parsed.fuzz.time_budget_seconds = text ? std::stod(*text) : -1.0;
-      } catch (const std::exception&) {
-        parsed.fuzz.time_budget_seconds = -1.0;
-      }
-      if (!text || parsed.fuzz.time_budget_seconds < 0) {
-        std::cerr << "dbn_chaos: --time-budget needs seconds\n";
-        parsed.ok = false;
-      }
-    } else if (arg == "--replay") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_chaos: --replay needs an argument\n";
-        parsed.ok = false;
-      } else {
-        parsed.replays.push_back(*text);
-      }
-    } else if (arg == "--failure-dir") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_chaos: --failure-dir needs a directory\n";
-        parsed.ok = false;
-      } else {
-        parsed.failure_dir = *text;
-      }
-    } else if (arg == "--trace-out") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_chaos: --trace-out needs a path\n";
-        parsed.ok = false;
-      } else {
-        parsed.trace_out = *text;
-      }
-    } else if (arg == "--metrics-out") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_chaos: --metrics-out needs a path\n";
-        parsed.ok = false;
-      } else {
-        parsed.metrics_out = *text;
-      }
-    } else if (arg == "--policy") {
-      const auto text = take_value(i);
-      const auto policy =
-          text ? testkit::chaos_policy_from_name(*text) : std::nullopt;
-      if (!policy) {
-        std::cerr << "dbn_chaos: --policy needs one of "
-                     "source|greedy|deflect|layer\n";
-        parsed.ok = false;
-      } else {
-        parsed.fuzz.policy = policy;
-      }
-    } else if (arg == "--no-shrink") {
-      parsed.fuzz.shrink = false;
-    } else if (arg == "--quiet") {
-      parsed.quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "dbn_chaos: unknown argument " << arg << "\n";
-      parsed.ok = false;
-    }
-  }
-  return parsed;
+// Fills `parsed` from argv; returns the status to exit with, or
+// std::nullopt to run.
+std::optional<int> parse_args(int argc, char** argv, ParsedArgs& parsed) {
+  bool no_shrink = false;
+  tools::ArgParser parser("dbn_chaos", 2, usage);
+  parser.flag("--seed", parsed.fuzz.seed)
+      .flag("--iters", parsed.fuzz.iterations)
+      .flag("--time-budget", parsed.fuzz.time_budget_seconds)
+      .flag("--no-shrink", no_shrink)
+      .flag("--max-failures", parsed.fuzz.max_failures)
+      .flag("--failure-dir", parsed.failure_dir)
+      .flag("--quiet", parsed.quiet)
+      .flag("--policy", parsed.fuzz.policy, testkit::chaos_policy_from_name)
+      .flag("--replay", parsed.replays)
+      .flag("--trace-out", parsed.trace_out)
+      .flag("--metrics-out", parsed.metrics_out);
+  const auto status =
+      parser.parse(std::vector<std::string_view>(argv + 1, argv + argc));
+  parsed.fuzz.shrink = !no_shrink;
+  return status;
 }
 
 int run_replays(const ParsedArgs& parsed) {
@@ -293,10 +193,9 @@ int run_fuzz_loop(ParsedArgs& parsed) {
 
 int main(int argc, char** argv) {
   try {
-    ParsedArgs parsed = parse_args(argc, argv);
-    if (!parsed.ok) {
-      usage(std::cerr);
-      return 2;
+    ParsedArgs parsed;
+    if (const auto status = parse_args(argc, argv, parsed)) {
+      return *status;
     }
     dbn::tools::ObsWriter obs_writer;
     if (!obs_writer.setup(parsed.trace_out, parsed.metrics_out)) {

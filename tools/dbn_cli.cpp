@@ -6,6 +6,8 @@
 //   dbn export-dot <d> <k> [--directed] [--ranks]
 //   dbn stats <d> <k>
 //   dbn broadcast <d> <k> <root> [--single-port]
+//   dbn sequence <d> <n> [--method=fkm|euler|greedy]
+//   dbn kautz <d> <k> [<X> <Y>]
 //   dbn simulate <d> <k> [--rate=R] [--duration=T]
 //                [--policy=zero|random|lq|greedy|deflect|layer]
 //   dbn serve <d> <k> [--stdio | --port=N] [--port-file=PATH]
@@ -22,19 +24,14 @@
 //
 // Bi-directional routes (`route`, the default `engine` algorithm, and the
 // source routes of `simulate`) come from BidirectionalRouteEngine.
-//
-// <d> and <k> must parse whole as unsigned numbers. Words are digit
-// strings, e.g. "0110" for (0,1,1,0); digits above 9 are not supported on
-// the command line (the library itself has no such limit). Exit status 0
-// on success, 1 on usage errors.
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -53,8 +50,8 @@
 #include "net/load_stats.hpp"
 #include "net/simulator.hpp"
 #include "net/traffic.hpp"
+#include "args.hpp"
 #include "obs_flags.hpp"
-#include "parse_number.hpp"
 #include "serve/io.hpp"
 #include "serve/server.hpp"
 
@@ -84,48 +81,63 @@ void usage(std::ostream& out) {
          "words are digit strings, e.g. 0110\n";
 }
 
-std::optional<std::string_view> flag_value(
-    const std::vector<std::string_view>& args, std::string_view name) {
-  const std::string prefix = std::string(name) + "=";
-  for (const std::string_view a : args) {
-    if (a.starts_with(prefix)) {
-      return a.substr(prefix.size());
+// One command's command line: the <d> <k> positionals and the four
+// observability flags every command shares, plus what the command declares
+// on `parser` before it calls start().
+struct Command {
+  Command(std::string_view name, std::span<const std::string_view> argv)
+      : parser("dbn " + std::string(name), 1, usage), args(argv) {
+    parser.positional("<d>", d)
+        .positional(name == "sequence" ? "<n>" : "<k>", k)
+        .flag("--trace-out", trace_out)
+        .flag("--metrics-out", metrics_out)
+        .flag("--metrics-ts-out", metrics_ts_out)
+        .flag("--metrics-interval", metrics_interval_ms,
+              tools::parse_positive<double>);
+  }
+
+  /// Parses the command line and opens the observability outputs. Returns
+  /// the status to exit with, or std::nullopt to run the command.
+  std::optional<int> start() {
+    if (const auto status = parser.parse(args)) {
+      return status;
     }
-  }
-  return std::nullopt;
-}
-
-bool has_flag(const std::vector<std::string_view>& args,
-              std::string_view name) {
-  for (const std::string_view a : args) {
-    if (a == name) {
-      return true;
+    if (!obs_writer.setup(trace_out, metrics_out, metrics_ts_out,
+                          metrics_interval_ms)) {
+      return 1;
     }
+    return std::nullopt;
   }
-  return false;
-}
 
-Word parse_word(std::uint32_t d, std::size_t k, std::string_view text) {
-  DBN_REQUIRE(text.size() == k, "word has wrong length for this network");
-  std::vector<Digit> digits;
-  digits.reserve(text.size());
-  for (const char c : text) {
-    DBN_REQUIRE(c >= '0' && c <= '9', "word digits must be 0-9");
-    digits.push_back(static_cast<Digit>(c - '0'));
+  std::uint32_t d = 0;
+  std::size_t k = 0;
+  std::string trace_out;
+  std::string metrics_out;
+  std::string metrics_ts_out;
+  double metrics_interval_ms = 1000.0;
+  tools::ArgParser parser;
+  std::span<const std::string_view> args;
+  tools::ObsWriter obs_writer;
+};
+
+int cmd_route(Command& cmd) {
+  std::string x_text;
+  std::string y_text;
+  std::string algorithm = "engine";
+  bool wildcards = false;
+  cmd.parser.positional("<X>", x_text)
+      .positional("<Y>", y_text)
+      .flag("--algorithm", algorithm)
+      .flag("--wildcards", wildcards);
+  if (const auto status = cmd.start()) {
+    return *status;
   }
-  return Word(d, std::move(digits));
-}
-
-int cmd_route(std::uint32_t d, std::size_t k,
-              const std::vector<std::string_view>& args) {
-  DBN_REQUIRE(args.size() >= 2, "route needs <X> and <Y>");
-  const Word x = parse_word(d, k, args[0]);
-  const Word y = parse_word(d, k, args[1]);
-  const std::string algorithm =
-      std::string(flag_value(args, "--algorithm").value_or("engine"));
-  const WildcardMode mode = has_flag(args, "--wildcards")
-                                ? WildcardMode::Wildcards
-                                : WildcardMode::Concrete;
+  const std::uint32_t d = cmd.d;
+  const std::size_t k = cmd.k;
+  const Word x = tools::parse_word(d, k, x_text);
+  const Word y = tools::parse_word(d, k, y_text);
+  const WildcardMode mode =
+      wildcards ? WildcardMode::Wildcards : WildcardMode::Concrete;
   RoutingPath path;
   if (algorithm == "engine") {
     BidirectionalRouteEngine engine(k);
@@ -157,23 +169,33 @@ int cmd_route(std::uint32_t d, std::size_t k,
   return 0;
 }
 
-int cmd_distance(std::uint32_t d, std::size_t k,
-                 const std::vector<std::string_view>& args) {
-  DBN_REQUIRE(args.size() >= 2, "distance needs <X> and <Y>");
-  const Word x = parse_word(d, k, args[0]);
-  const Word y = parse_word(d, k, args[1]);
+int cmd_distance(Command& cmd) {
+  std::string x_text;
+  std::string y_text;
+  cmd.parser.positional("<X>", x_text).positional("<Y>", y_text);
+  if (const auto status = cmd.start()) {
+    return *status;
+  }
+  const std::uint32_t d = cmd.d;
+  const std::size_t k = cmd.k;
+  const Word x = tools::parse_word(d, k, x_text);
+  const Word y = tools::parse_word(d, k, y_text);
   std::cout << "directed   D(X,Y) = " << directed_distance(x, y) << "\n"
             << "directed   D(Y,X) = " << directed_distance(y, x) << "\n"
             << "undirected D(X,Y) = " << undirected_distance(x, y) << "\n";
   return 0;
 }
 
-int cmd_graph(std::uint32_t d, std::size_t k,
-              const std::vector<std::string_view>& args) {
-  const Orientation o = has_flag(args, "--directed")
-                            ? Orientation::Directed
-                            : Orientation::Undirected;
-  const DeBruijnGraph g(d, k, o);
+int cmd_graph(Command& cmd) {
+  bool directed = false;
+  cmd.parser.flag("--directed", directed);
+  if (const auto status = cmd.start()) {
+    return *status;
+  }
+  const std::uint32_t d = cmd.d;
+  const std::size_t k = cmd.k;
+  const DeBruijnGraph g(
+      d, k, directed ? Orientation::Directed : Orientation::Undirected);
   DBN_REQUIRE(g.vertex_count() <= 4096, "graph too large to print");
   for (std::uint64_t v = 0; v < g.vertex_count(); ++v) {
     std::cout << g.word(v).to_string() << " ->";
@@ -185,25 +207,36 @@ int cmd_graph(std::uint32_t d, std::size_t k,
   return 0;
 }
 
-int cmd_export_dot(std::uint32_t d, std::size_t k,
-                   const std::vector<std::string_view>& args) {
-  const Orientation o = has_flag(args, "--directed")
-                            ? Orientation::Directed
-                            : Orientation::Undirected;
-  const DeBruijnGraph g(d, k, o);
-  std::cout << to_dot(g, /*word_labels=*/!has_flag(args, "--ranks"));
+int cmd_export_dot(Command& cmd) {
+  bool directed = false;
+  bool ranks = false;
+  cmd.parser.flag("--directed", directed).flag("--ranks", ranks);
+  if (const auto status = cmd.start()) {
+    return *status;
+  }
+  const std::uint32_t d = cmd.d;
+  const std::size_t k = cmd.k;
+  const DeBruijnGraph g(
+      d, k, directed ? Orientation::Directed : Orientation::Undirected);
+  std::cout << to_dot(g, /*word_labels=*/!ranks);
   return 0;
 }
 
-int cmd_broadcast(std::uint32_t d, std::size_t k,
-                  const std::vector<std::string_view>& args) {
-  DBN_REQUIRE(!args.empty(), "broadcast needs a <root> word");
-  const Word root = parse_word(d, k, args[0]);
+int cmd_broadcast(Command& cmd) {
+  std::string root_text;
+  bool single_port = false;
+  cmd.parser.positional("<root>", root_text)
+      .flag("--single-port", single_port);
+  if (const auto status = cmd.start()) {
+    return *status;
+  }
+  const std::uint32_t d = cmd.d;
+  const std::size_t k = cmd.k;
+  const Word root = tools::parse_word(d, k, root_text);
   const DeBruijnGraph g(d, k, Orientation::Undirected);
   const net::BroadcastTree tree = net::build_broadcast_tree(g, root.rank());
-  const net::PortModel model = has_flag(args, "--single-port")
-                                   ? net::PortModel::SinglePort
-                                   : net::PortModel::AllPort;
+  const net::PortModel model =
+      single_port ? net::PortModel::SinglePort : net::PortModel::AllPort;
   const net::BroadcastSchedule sched = net::schedule_broadcast(tree, model);
   std::cout << "broadcast from " << root.to_string() << " over DN(" << d
             << "," << k << "): completes in " << sched.completion
@@ -220,10 +253,14 @@ int cmd_broadcast(std::uint32_t d, std::size_t k,
   return 0;
 }
 
-int cmd_sequence(std::uint32_t d, std::size_t n,
-                 const std::vector<std::string_view>& args) {
-  const std::string method =
-      std::string(flag_value(args, "--method").value_or("fkm"));
+int cmd_sequence(Command& cmd) {
+  std::string method = "fkm";
+  cmd.parser.flag("--method", method);
+  if (const auto status = cmd.start()) {
+    return *status;
+  }
+  const std::uint32_t d = cmd.d;
+  const std::size_t n = cmd.k;
   std::vector<Digit> seq;
   if (method == "fkm") {
     seq = de_bruijn_sequence(d, n);
@@ -244,12 +281,22 @@ int cmd_sequence(std::uint32_t d, std::size_t n,
   return 0;
 }
 
-int cmd_kautz(std::uint32_t d, std::size_t k,
-              const std::vector<std::string_view>& args) {
+int cmd_kautz(Command& cmd) {
+  std::optional<std::string> x_text;
+  std::optional<std::string> y_text;
+  cmd.parser.positional("<X>", x_text).positional("<Y>", y_text);
+  if (const auto status = cmd.start()) {
+    return *status;
+  }
+  if (x_text && !y_text) {
+    return cmd.parser.fail("missing <Y>");
+  }
+  const std::uint32_t d = cmd.d;
+  const std::size_t k = cmd.k;
   const KautzGraph g(d, k);
-  if (args.size() >= 2) {
-    const Word x = parse_word(d + 1, k, args[0]);
-    const Word y = parse_word(d + 1, k, args[1]);
+  if (x_text) {
+    const Word x = tools::parse_word(d + 1, k, *x_text);
+    const Word y = tools::parse_word(d + 1, k, *y_text);
     const RoutingPath path = kautz_route(g, x, y);
     std::cout << "K(" << d << "," << k << ") route " << x.to_string()
               << " -> " << y.to_string() << ": " << path.to_string()
@@ -263,7 +310,12 @@ int cmd_kautz(std::uint32_t d, std::size_t k,
   return 0;
 }
 
-int cmd_stats(std::uint32_t d, std::size_t k) {
+int cmd_stats(Command& cmd) {
+  if (const auto status = cmd.start()) {
+    return *status;
+  }
+  const std::uint32_t d = cmd.d;
+  const std::size_t k = cmd.k;
   const std::uint64_t n = Word::vertex_count(d, k);
   Table table({"quantity", "value"});
   table.add_row({"vertices", std::to_string(n)});
@@ -284,31 +336,18 @@ int cmd_stats(std::uint32_t d, std::size_t k) {
   return 0;
 }
 
-int cmd_simulate(std::uint32_t d, std::size_t k,
-                 const std::vector<std::string_view>& args) {
-  // --rate and --duration parse whole and must be positive: an infinite
-  // rate would schedule messages forever.
-  const auto positive_flag = [&args](std::string_view name,
-                                     double fallback) -> std::optional<double> {
-    const auto v = flag_value(args, name);
-    if (!v) {
-      return fallback;
-    }
-    const auto parsed = tools::parse_number<double>(*v);
-    if (!parsed || *parsed <= 0.0) {
-      std::cerr << "dbn simulate: bad value for " << name << ": '" << *v
-                << "'\n";
-      return std::nullopt;
-    }
-    return parsed;
-  };
-  const std::optional<double> rate = positive_flag("--rate", 0.1);
-  const std::optional<double> duration = positive_flag("--duration", 100.0);
-  if (!rate || !duration) {
-    return 1;
+int cmd_simulate(Command& cmd) {
+  double rate = 0.1;
+  double duration = 100.0;
+  std::string policy = "random";
+  cmd.parser.flag("--rate", rate, tools::parse_positive<double>)
+      .flag("--duration", duration, tools::parse_positive<double>)
+      .flag("--policy", policy);
+  if (const auto status = cmd.start()) {
+    return *status;
   }
-  const std::string policy =
-      std::string(flag_value(args, "--policy").value_or("random"));
+  const std::uint32_t d = cmd.d;
+  const std::size_t k = cmd.k;
   net::SimConfig config;
   config.radix = d;
   config.k = k;
@@ -334,7 +373,7 @@ int cmd_simulate(std::uint32_t d, std::size_t k,
   BidirectionalRouteEngine engine(k);
   Rng rng(42);
   for (const net::Injection& inj :
-       net::uniform_traffic(d, k, *rate, *duration, rng)) {
+       net::uniform_traffic(d, k, rate, duration, rng)) {
     const Word src = Word::from_rank(d, k, inj.source);
     const Word dst = Word::from_rank(d, k, inj.destination);
     RoutingPath path;
@@ -366,13 +405,31 @@ void serve_stop_handler(int /*signum*/) {
   g_serve_stop.store(true, std::memory_order_release);
 }
 
-int cmd_serve(std::uint32_t d, std::size_t k,
-              const std::vector<std::string_view>& args) {
+int cmd_serve(Command& cmd) {
   serve::ServeConfig config;
+  serve::TcpOptions tcp;
+  std::string backend = "bidi";
+  bool stdio = false;
+  bool wildcards = false;
+  cmd.parser.flag("--backend", backend)
+      .flag("--stdio", stdio)
+      .flag("--port", tcp.port)
+      .flag("--port-file", tcp.port_file)
+      .flag("--threads", config.threads)
+      .flag("--queue", config.queue_capacity)
+      .flag("--batch", config.max_batch)
+      .flag("--cache", config.cache_entries)
+      .flag("--wildcards", wildcards)
+      .flag("--trace-sample", config.trace_sample)
+      .flag("--trace-seed", config.trace_seed)
+      .flag("--slow-us", config.slow_us);
+  if (const auto status = cmd.start()) {
+    return *status;
+  }
+  const std::uint32_t d = cmd.d;
+  const std::size_t k = cmd.k;
   config.d = d;
   config.k = k;
-  const std::string backend =
-      std::string(flag_value(args, "--backend").value_or("bidi"));
   if (backend == "uni") {
     config.backend = BatchBackend::Alg1Directed;
   } else if (backend == "bidi") {
@@ -381,48 +438,16 @@ int cmd_serve(std::uint32_t d, std::size_t k,
     std::cerr << "unknown backend: " << backend << " (uni|bidi)\n";
     return 1;
   }
-  // Each numeric flag parses whole into its field's type, or the command
-  // fails before the server is built.
-  bool flags_ok = true;
-  const auto num_flag = [&args, &flags_ok](std::string_view name,
-                                           auto& target) {
-    const auto v = flag_value(args, name);
-    if (!v) {
-      return;
-    }
-    const auto parsed =
-        tools::parse_number<std::remove_reference_t<decltype(target)>>(*v);
-    if (!parsed) {
-      std::cerr << "dbn serve: bad value for " << name << ": '" << *v
-                << "'\n";
-      flags_ok = false;
-      return;
-    }
-    target = *parsed;
-  };
-  serve::TcpOptions tcp;
-  num_flag("--threads", config.threads);
-  num_flag("--queue", config.queue_capacity);
-  num_flag("--batch", config.max_batch);
-  num_flag("--cache", config.cache_entries);
-  num_flag("--trace-sample", config.trace_sample);
-  num_flag("--trace-seed", config.trace_seed);
-  num_flag("--slow-us", config.slow_us);
-  num_flag("--port", tcp.port);
-  if (!flags_ok) {
-    return 1;
-  }
-  if (has_flag(args, "--wildcards")) {
+  if (wildcards) {
     config.wildcard_mode = WildcardMode::Wildcards;
   }
   serve::RouteServer server(config);
   int rc = 0;
-  if (has_flag(args, "--stdio")) {
+  if (stdio) {
     // stdin EOF is the drain signal in this mode; SIGTERM keeps its
     // default disposition (use the TCP mode for signal-driven drains).
     rc = serve::serve_stdio(server, std::cin, std::cout);
   } else {
-    tcp.port_file = std::string(flag_value(args, "--port-file").value_or(""));
     g_serve_stop.store(false);
     std::signal(SIGTERM, serve_stop_handler);
     std::signal(SIGINT, serve_stop_handler);
@@ -450,73 +475,31 @@ int cmd_serve(std::uint32_t d, std::size_t k,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string_view> args(argv + 1, argv + argc);
-  if (args.size() < 3) {
-    usage(args.empty() ? std::cout : std::cerr);
-    return args.empty() ? 0 : 1;
+  const std::vector<std::string_view> args(argv + 1, argv + argc);
+  if (args.empty() || args[0] == "--help" || args[0] == "-h") {
+    usage(std::cout);
+    return 0;
   }
-  dbn::tools::ObsWriter obs_writer;
-  try {
-    const std::string_view command = args[0];
-    // <d> and <k> parse whole, like every numeric flag: "4x" is a usage
-    // error, not a 4.
-    const auto d_arg = tools::parse_number<std::uint32_t>(args[1]);
-    const auto k_arg = tools::parse_number<std::size_t>(args[2]);
-    if (!d_arg || !k_arg) {
-      const bool bad_d = !d_arg;
-      std::cerr << "dbn: bad value for "
-                << (bad_d ? "<d>" : command == "sequence" ? "<n>" : "<k>")
-                << ": '" << args[bad_d ? 1 : 2] << "'\n";
-      usage(std::cerr);
+  using Run = int (*)(Command&);
+  static constexpr std::pair<std::string_view, Run> kCommands[] = {
+      {"route", cmd_route},         {"distance", cmd_distance},
+      {"graph", cmd_graph},         {"export-dot", cmd_export_dot},
+      {"broadcast", cmd_broadcast}, {"sequence", cmd_sequence},
+      {"kautz", cmd_kautz},         {"stats", cmd_stats},
+      {"simulate", cmd_simulate},   {"serve", cmd_serve}};
+  for (const auto& [name, run] : kCommands) {
+    if (args[0] != name) {
+      continue;
+    }
+    try {
+      Command command(name, std::span(args).subspan(1));
+      return run(command);
+    } catch (const dbn::ContractViolation& e) {
+      std::cerr << "error: " << e.what() << "\n";
       return 1;
     }
-    const std::uint32_t d = *d_arg;
-    const std::size_t k = *k_arg;
-    const std::vector<std::string_view> rest(args.begin() + 3, args.end());
-    const std::string interval_text =
-        std::string(flag_value(rest, "--metrics-interval").value_or("1000"));
-    if (!obs_writer.setup(
-            std::string(flag_value(rest, "--trace-out").value_or("")),
-            std::string(flag_value(rest, "--metrics-out").value_or("")),
-            std::string(flag_value(rest, "--metrics-ts-out").value_or("")),
-            std::atof(interval_text.c_str()))) {
-      return 1;
-    }
-    if (command == "route") {
-      return cmd_route(d, k, rest);
-    }
-    if (command == "distance") {
-      return cmd_distance(d, k, rest);
-    }
-    if (command == "graph") {
-      return cmd_graph(d, k, rest);
-    }
-    if (command == "export-dot") {
-      return cmd_export_dot(d, k, rest);
-    }
-    if (command == "broadcast") {
-      return cmd_broadcast(d, k, rest);
-    }
-    if (command == "sequence") {
-      return cmd_sequence(d, k, rest);
-    }
-    if (command == "kautz") {
-      return cmd_kautz(d, k, rest);
-    }
-    if (command == "stats") {
-      return cmd_stats(d, k);
-    }
-    if (command == "simulate") {
-      return cmd_simulate(d, k, rest);
-    }
-    if (command == "serve") {
-      return cmd_serve(d, k, rest);
-    }
-    std::cerr << "unknown command: " << command << "\n";
-    usage(std::cerr);
-    return 1;
-  } catch (const dbn::ContractViolation& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
   }
+  std::cerr << "unknown command: " << args[0] << "\n";
+  usage(std::cerr);
+  return 1;
 }

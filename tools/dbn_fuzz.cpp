@@ -5,9 +5,8 @@
 //            [--no-shrink] [--max-failures N] [--failure-dir DIR] [--quiet]
 //   dbn_fuzz --replay <case-file | corpus-dir | inline-case>
 //
-// Flags accept both "--flag value" and "--flag=value". An inline replay
-// case uses ':' separators, e.g. --replay undirected:2:4:0110:1001 (the
-// corpus file format with spaces replaced).
+// An inline replay case uses ':' separators, e.g. --replay
+// undirected:2:4:0110:1001 (the corpus file format with spaces replaced).
 //
 // --failure-dir writes every shrunk disagreement as a replayable
 // failure_<n>.case corpus file (with the conformance report and the
@@ -16,17 +15,18 @@
 //
 // Exit status: 0 when every oracle agrees on every pair, 1 on any
 // disagreement (the shrunk reproducer, its corpus line and a paste-ready
-// regression test are printed), 2 on usage errors.
+// regression test are printed).
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "args.hpp"
 #include "common/contract.hpp"
 #include "testkit/fuzzer.hpp"
 
@@ -48,105 +48,27 @@ struct ParsedArgs {
   std::vector<std::string> replays;
   std::string failure_dir;
   bool quiet = false;
-  bool ok = true;
   testkit::FuzzOptions fuzz;
 };
 
-std::optional<std::uint64_t> parse_u64(const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(text, &used);
-    if (used != text.size()) {
-      return std::nullopt;
-    }
-    return value;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-ParsedArgs parse_args(int argc, char** argv) {
-  ParsedArgs parsed;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  // Split "--flag=value" into "--flag value".
-  std::vector<std::string> flat;
-  for (const std::string& a : args) {
-    const auto eq = a.find('=');
-    if (a.starts_with("--") && eq != std::string::npos) {
-      flat.push_back(a.substr(0, eq));
-      flat.push_back(a.substr(eq + 1));
-    } else {
-      flat.push_back(a);
-    }
-  }
-  const auto take_value = [&flat](std::size_t& i) -> std::optional<std::string> {
-    if (i + 1 >= flat.size()) {
-      return std::nullopt;
-    }
-    return flat[++i];
-  };
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    const std::string& arg = flat[i];
-    const auto number = [&](std::uint64_t& out) {
-      const auto text = take_value(i);
-      const auto value = text ? parse_u64(*text) : std::nullopt;
-      if (!value) {
-        std::cerr << "dbn_fuzz: " << arg << " needs a number\n";
-        parsed.ok = false;
-        return;
-      }
-      out = *value;
-    };
-    if (arg == "--seed") {
-      number(parsed.fuzz.seed);
-    } else if (arg == "--iters") {
-      number(parsed.fuzz.iterations);
-    } else if (arg == "--max-bfs") {
-      number(parsed.fuzz.oracle_options.max_bfs_vertices);
-    } else if (arg == "--max-failures") {
-      std::uint64_t value = parsed.fuzz.max_failures;
-      number(value);
-      parsed.fuzz.max_failures = static_cast<std::size_t>(value);
-    } else if (arg == "--time-budget") {
-      const auto text = take_value(i);
-      try {
-        parsed.fuzz.time_budget_seconds = text ? std::stod(*text) : -1.0;
-      } catch (const std::exception&) {
-        parsed.fuzz.time_budget_seconds = -1.0;
-      }
-      if (!text || parsed.fuzz.time_budget_seconds < 0) {
-        std::cerr << "dbn_fuzz: --time-budget needs seconds\n";
-        parsed.ok = false;
-      }
-    } else if (arg == "--replay") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_fuzz: --replay needs an argument\n";
-        parsed.ok = false;
-      } else {
-        parsed.replays.push_back(*text);
-      }
-    } else if (arg == "--failure-dir") {
-      const auto text = take_value(i);
-      if (!text) {
-        std::cerr << "dbn_fuzz: --failure-dir needs a directory\n";
-        parsed.ok = false;
-      } else {
-        parsed.failure_dir = *text;
-      }
-    } else if (arg == "--no-shrink") {
-      parsed.fuzz.shrink = false;
-    } else if (arg == "--quiet") {
-      parsed.quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "dbn_fuzz: unknown argument " << arg << "\n";
-      parsed.ok = false;
-    }
-  }
-  return parsed;
+// Fills `parsed` from argv; returns the status to exit with, or
+// std::nullopt to run.
+std::optional<int> parse_args(int argc, char** argv, ParsedArgs& parsed) {
+  bool no_shrink = false;
+  tools::ArgParser parser("dbn_fuzz", 2, usage);
+  parser.flag("--seed", parsed.fuzz.seed)
+      .flag("--iters", parsed.fuzz.iterations)
+      .flag("--time-budget", parsed.fuzz.time_budget_seconds)
+      .flag("--max-bfs", parsed.fuzz.oracle_options.max_bfs_vertices)
+      .flag("--no-shrink", no_shrink)
+      .flag("--max-failures", parsed.fuzz.max_failures)
+      .flag("--failure-dir", parsed.failure_dir)
+      .flag("--quiet", parsed.quiet)
+      .flag("--replay", parsed.replays);
+  const auto status =
+      parser.parse(std::vector<std::string_view>(argv + 1, argv + argc));
+  parsed.fuzz.shrink = !no_shrink;
+  return status;
 }
 
 int run_replays(const ParsedArgs& parsed) {
@@ -271,10 +193,9 @@ int run_fuzz_loop(ParsedArgs& parsed) {
 
 int main(int argc, char** argv) {
   try {
-    ParsedArgs parsed = parse_args(argc, argv);
-    if (!parsed.ok) {
-      usage(std::cerr);
-      return 2;
+    ParsedArgs parsed;
+    if (const auto status = parse_args(argc, argv, parsed)) {
+      return *status;
     }
     if (!parsed.replays.empty()) {
       return run_replays(parsed);

@@ -53,6 +53,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "args.hpp"
 #include "common/contract.hpp"
 #include "common/rng.hpp"
 #include "common/schema.hpp"
@@ -68,27 +69,6 @@ using namespace dbn::serve;
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
-
-std::optional<std::string_view> flag_value(
-    const std::vector<std::string_view>& args, std::string_view name) {
-  const std::string prefix = std::string(name) + "=";
-  for (const std::string_view a : args) {
-    if (a.starts_with(prefix)) {
-      return a.substr(prefix.size());
-    }
-  }
-  return std::nullopt;
-}
-
-bool has_flag(const std::vector<std::string_view>& args,
-              std::string_view name) {
-  for (const std::string_view a : args) {
-    if (a == name) {
-      return true;
-    }
-  }
-  return false;
-}
 
 // A bidirectional byte stream to the server: TCP socket or child pipes.
 class Endpoint {
@@ -519,64 +499,58 @@ std::uint64_t percentile(std::vector<std::uint64_t>& sorted, double p) {
   return sorted[static_cast<std::size_t>(rank + 0.5)];
 }
 
-int usage() {
-  std::cerr
-      << "usage: dbn_loadgen <d> <k> (--spawn=CMD | --port=N | "
+void usage(std::ostream& out) {
+  out << "usage: dbn_loadgen <d> <k> (--spawn=CMD | --port=N | "
          "--port-file=PATH)\n"
          "         [--requests=N] [--connections=C] [--inflight=W]\n"
          "         [--mode=closed|open] [--rate=R] [--seed=S]\n"
          "         [--distance-frac=F] [--stats] [--out=FILE]\n";
-  return 1;
+}
+
+std::optional<bool> parse_open_loop(std::string_view mode) {
+  if (mode == "open" || mode == "closed") {
+    return mode == "open";
+  }
+  return std::nullopt;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::vector<std::string_view> args(argv + 1, argv + argc);
-  if (args.size() < 2) {
-    return usage();
-  }
   Options options;
-  options.d =
-      static_cast<std::uint32_t>(std::atoi(std::string(args[0]).c_str()));
-  options.k =
-      static_cast<std::size_t>(std::atoi(std::string(args[1]).c_str()));
-  const std::vector<std::string_view> rest(args.begin() + 2, args.end());
-  const auto num = [&rest](std::string_view name, std::uint64_t fallback) {
-    const auto v = flag_value(rest, name);
-    return v ? static_cast<std::uint64_t>(
-                   std::atoll(std::string(*v).c_str()))
-             : fallback;
-  };
-  options.spawn = std::string(flag_value(rest, "--spawn").value_or(""));
-  options.port = static_cast<std::uint16_t>(num("--port", 0));
-  options.port_file =
-      std::string(flag_value(rest, "--port-file").value_or(""));
-  options.requests = num("--requests", options.requests);
-  options.connections =
-      static_cast<std::size_t>(num("--connections", options.connections));
-  options.inflight =
-      std::max<std::size_t>(1, num("--inflight", options.inflight));
-  options.open_loop = flag_value(rest, "--mode").value_or("closed") == "open";
-  if (const auto v = flag_value(rest, "--rate")) {
-    options.rate = std::atof(std::string(*v).c_str());
+  tools::ArgParser parser("dbn_loadgen", 1, usage);
+  parser.positional("<d>", options.d)
+      .positional("<k>", options.k)
+      .flag("--spawn", options.spawn)
+      .flag("--port", options.port)
+      .flag("--port-file", options.port_file)
+      .flag("--requests", options.requests)
+      .flag("--connections", options.connections)
+      .flag("--inflight", options.inflight)
+      .flag("--mode", options.open_loop, parse_open_loop)
+      .flag("--rate", options.rate, tools::parse_positive<double>)
+      .flag("--seed", options.seed)
+      .flag("--distance-frac", options.distance_frac)
+      .flag("--stats", options.stats_probe)
+      .flag("--out", options.out);
+  if (const auto status = parser.parse(args)) {
+    return *status;
   }
-  options.seed = num("--seed", options.seed);
-  if (const auto v = flag_value(rest, "--distance-frac")) {
-    options.distance_frac = std::atof(std::string(*v).c_str());
-  }
-  options.stats_probe = has_flag(rest, "--stats");
-  options.out = std::string(flag_value(rest, "--out").value_or(""));
+  options.inflight = std::max<std::size_t>(1, options.inflight);
   if (options.d < 2 || options.d > kMaxWireRadix || options.k == 0) {
-    return usage();
+    return parser.fail("<d> must be in [2, " + std::to_string(kMaxWireRadix) +
+                       "] and <k> at least 1");
   }
   const bool spawn_mode = !options.spawn.empty();
   if (spawn_mode) {
     options.connections = 1;
   }
-  if (options.connections == 0 ||
-      (!spawn_mode && options.port == 0 && options.port_file.empty())) {
-    return usage();
+  if (options.connections == 0) {
+    return parser.fail("--connections must be at least 1");
+  }
+  if (!spawn_mode && options.port == 0 && options.port_file.empty()) {
+    return parser.fail("need --spawn, --port or --port-file");
   }
 
   std::ofstream out_file;

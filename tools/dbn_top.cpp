@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -44,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "args.hpp"
 #include "common/schema.hpp"
 #include "obs/json.hpp"
 #include "serve/protocol.hpp"
@@ -53,27 +53,6 @@ namespace {
 using namespace dbn;
 using namespace dbn::serve;
 using Clock = std::chrono::steady_clock;
-
-std::optional<std::string_view> flag_value(
-    const std::vector<std::string_view>& args, std::string_view name) {
-  const std::string prefix = std::string(name) + "=";
-  for (const std::string_view a : args) {
-    if (a.starts_with(prefix)) {
-      return a.substr(prefix.size());
-    }
-  }
-  return std::nullopt;
-}
-
-bool has_flag(const std::vector<std::string_view>& args,
-              std::string_view name) {
-  for (const std::string_view a : args) {
-    if (a == name) {
-      return true;
-    }
-  }
-  return false;
-}
 
 int connect_tcp(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -405,45 +384,49 @@ void render(std::ostream& out, const ProbeState& now,
   out.flush();
 }
 
+void usage(std::ostream& out) {
+  out << "usage: dbn_top (--port=N | --port-file=PATH) "
+         "[--interval=MS] [--samples=N] [--once] "
+         "[--metrics-out=FILE] [--no-clear]\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::vector<std::string_view> args(argv + 1, argv + argc);
-  if (args.empty() || has_flag(args, "--help")) {
-    std::cout << "usage: dbn_top (--port=N | --port-file=PATH) "
-                 "[--interval=MS] [--samples=N] [--once] "
-                 "[--metrics-out=FILE] [--no-clear]\n";
-    return args.empty() ? 1 : 0;
-  }
-
   std::uint16_t port = 0;
-  if (const auto v = flag_value(args, "--port")) {
-    port = static_cast<std::uint16_t>(std::atoi(std::string(*v).c_str()));
-  } else if (const auto path = flag_value(args, "--port-file")) {
-    const auto resolved = wait_for_port_file(std::string(*path), 10000);
+  std::string port_file;
+  int interval_ms = 1000;
+  std::uint64_t samples = 0;
+  bool once = false;
+  std::string metrics_out;
+  bool no_clear = false;
+  tools::ArgParser parser("dbn_top", 1, usage);
+  parser.flag("--port", port)
+      .flag("--port-file", port_file)
+      .flag("--interval", interval_ms, tools::parse_positive<int>)
+      .flag("--samples", samples)
+      .flag("--once", once)
+      .flag("--metrics-out", metrics_out)
+      .flag("--no-clear", no_clear);
+  if (const auto status = parser.parse(args)) {
+    return *status;
+  }
+  if (port == 0 && port_file.empty()) {
+    return parser.fail("need --port or --port-file");
+  }
+  if (port == 0) {
+    const auto resolved = wait_for_port_file(port_file, 10000);
     if (!resolved) {
-      std::cerr << "dbn top: no port file at " << *path << "\n";
+      std::cerr << "dbn top: no port file at " << port_file << "\n";
       return 1;
     }
     port = *resolved;
   }
-  if (port == 0) {
-    std::cerr << "dbn top: need --port or --port-file\n";
-    return 1;
-  }
-
-  const bool once = has_flag(args, "--once");
-  const int interval_ms = static_cast<int>(std::atoi(
-      std::string(flag_value(args, "--interval").value_or("1000")).c_str()));
-  std::uint64_t samples = static_cast<std::uint64_t>(std::atoll(
-      std::string(flag_value(args, "--samples").value_or("0")).c_str()));
   if (once) {
     samples = 1;
   }
-  const std::string metrics_out =
-      std::string(flag_value(args, "--metrics-out").value_or(""));
-  const bool clear = !once && !has_flag(args, "--no-clear") &&
-                     ::isatty(STDOUT_FILENO) != 0;
+  const bool clear = !once && !no_clear && ::isatty(STDOUT_FILENO) != 0;
 
   const int fd = connect_tcp(port);
   if (fd < 0) {

@@ -12,8 +12,7 @@
 //
 // With --trace-out the same events are re-exported to FILE (trace/1
 // NDJSON, or Chrome trace_event JSON when FILE ends in ".json");
-// --metrics-out snapshots the global metrics registry. <d> and <k> must
-// parse whole as unsigned numbers; exit status 1 on usage errors.
+// --metrics-out snapshots the global metrics registry.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -22,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "args.hpp"
 #include "common/contract.hpp"
 #include "common/schema.hpp"
 #include "core/route_engine.hpp"
@@ -30,7 +30,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parse_number.hpp"
 
 namespace {
 
@@ -44,38 +43,6 @@ void usage(std::ostream& out) {
          "--trace-out writes "
       << dbn::schema::kTrace
       << " NDJSON (Chrome JSON if FILE ends in \".json\")\n";
-}
-
-std::optional<std::string_view> flag_value(
-    const std::vector<std::string_view>& args, std::string_view name) {
-  const std::string prefix = std::string(name) + "=";
-  for (const std::string_view a : args) {
-    if (a.starts_with(prefix)) {
-      return a.substr(prefix.size());
-    }
-  }
-  return std::nullopt;
-}
-
-bool has_flag(const std::vector<std::string_view>& args,
-              std::string_view name) {
-  for (const std::string_view a : args) {
-    if (a == name) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Word parse_word(std::uint32_t d, std::size_t k, std::string_view text) {
-  DBN_REQUIRE(text.size() == k, "word has wrong length for this network");
-  std::vector<Digit> digits;
-  digits.reserve(text.size());
-  for (const char c : text) {
-    DBN_REQUIRE(c >= '0' && c <= '9', "word digits must be 0-9");
-    digits.push_back(static_cast<Digit>(c - '0'));
-  }
-  return Word(d, std::move(digits));
 }
 
 const std::string* find_arg(const std::vector<obs::TraceArg>& args,
@@ -99,10 +66,10 @@ std::string arg_or(const std::vector<obs::TraceArg>& args,
 Word apply_hop(const Word& at, const std::vector<obs::TraceArg>& hop_args) {
   const std::string shift = arg_or(hop_args, "shift", "L");
   const std::string digit_text = arg_or(hop_args, "digit", "0");
-  const Digit digit = digit_text == "*"
-                          ? Digit{0}
-                          : static_cast<Digit>(std::stoul(digit_text));
-  return shift == "L" ? at.left_shift(digit) : at.right_shift(digit);
+  const std::optional<Digit> digit =
+      digit_text == "*" ? Digit{0} : tools::parse_number<Digit>(digit_text);
+  DBN_REQUIRE(digit.has_value(), "hop event digit is not a number");
+  return shift == "L" ? at.left_shift(*digit) : at.right_shift(*digit);
 }
 
 /// Pretty-prints one route span: header from the End event's args, hops
@@ -164,27 +131,32 @@ bool export_events(const std::string& path,
 }
 
 int run(const std::vector<std::string_view>& args) {
-  const auto d_arg = tools::parse_number<std::uint32_t>(args[0]);
-  const auto k_arg = tools::parse_number<std::size_t>(args[1]);
-  if (!d_arg || !k_arg) {
-    const bool bad_d = !d_arg;
-    std::cerr << "dbn_trace: bad value for " << (bad_d ? "<d>" : "<k>")
-              << ": '" << args[bad_d ? 0 : 1] << "'\n";
-    usage(std::cerr);
-    return 1;
+  std::uint32_t d = 0;
+  std::size_t k = 0;
+  std::string x_text;
+  std::string y_text;
+  std::string algorithm = "engine";
+  bool wildcards = false;
+  std::string trace_out;
+  std::string metrics_out;
+  tools::ArgParser parser("dbn_trace", 1, usage);
+  parser.positional("<d>", d)
+      .positional("<k>", k)
+      .positional("<X>", x_text)
+      .positional("<Y>", y_text)
+      .flag("--algorithm", algorithm)
+      .flag("--wildcards", wildcards)
+      .flag("--trace-out", trace_out)
+      .flag("--metrics-out", metrics_out);
+  if (const auto status = parser.parse(args)) {
+    return *status;
   }
-  const std::uint32_t d = *d_arg;
-  const std::size_t k = *k_arg;
   DBN_REQUIRE(d >= 2, "radix must be at least 2");
   DBN_REQUIRE(k >= 1, "diameter must be at least 1");
-  const Word x = parse_word(d, k, args[2]);
-  const Word y = parse_word(d, k, args[3]);
-  const std::vector<std::string_view> rest(args.begin() + 4, args.end());
-  const std::string algorithm =
-      std::string(flag_value(rest, "--algorithm").value_or("engine"));
-  const WildcardMode mode = has_flag(rest, "--wildcards")
-                                ? WildcardMode::Wildcards
-                                : WildcardMode::Concrete;
+  const Word x = tools::parse_word(d, k, x_text);
+  const Word y = tools::parse_word(d, k, y_text);
+  const WildcardMode mode =
+      wildcards ? WildcardMode::Wildcards : WildcardMode::Concrete;
 
   obs::MemoryTraceSink memory;
   obs::set_trace_sink(&memory);
@@ -226,8 +198,6 @@ int run(const std::vector<std::string_view>& args) {
   std::cout << "path   " << path.to_string() << "\n"
             << "length " << path.length() << "\n";
 
-  const std::string trace_out =
-      std::string(flag_value(rest, "--trace-out").value_or(""));
   if (!trace_out.empty()) {
     if (!export_events(trace_out, events)) {
       return 1;
@@ -235,8 +205,6 @@ int run(const std::vector<std::string_view>& args) {
     std::cout << "trace written to " << trace_out << " (" << events.size()
               << " events)\n";
   }
-  const std::string metrics_out =
-      std::string(flag_value(rest, "--metrics-out").value_or(""));
   if (!metrics_out.empty()) {
     std::ofstream out(metrics_out, std::ios::binary);
     if (!out) {
@@ -252,9 +220,9 @@ int run(const std::vector<std::string_view>& args) {
 
 int main(int argc, char** argv) {
   const std::vector<std::string_view> args(argv + 1, argv + argc);
-  if (args.size() < 4) {
-    usage(args.empty() ? std::cout : std::cerr);
-    return args.empty() ? 0 : 1;
+  if (args.empty()) {
+    usage(std::cout);
+    return 0;
   }
   try {
     return run(args);

@@ -1,5 +1,5 @@
 // Shared --trace-out / --metrics-out wiring for the CLI tools (dbn,
-// dbn_trace, dbn_bench, dbn_chaos).
+// dbn_bench, dbn_chaos).
 //
 //   --trace-out=FILE    install a process-global trace sink writing to FILE:
 //                       Chrome trace_event JSON when FILE ends in ".json"
@@ -9,16 +9,18 @@
 //                       to FILE as a metrics/1 JSON document.
 //
 // Plus the time-series recorder (the serving plane's flight recorder, but
-// available to every tool):
+// available to every dbn command):
 //
 //   --metrics-ts-out=FILE  run a background sampler for the duration of
 //                          the process and flush a metricsts/1 NDJSON
 //                          timeline (periodic registry deltas) to FILE.
-//   --metrics-interval=MS  sampling period in milliseconds (default 1000).
+//   --metrics-interval=MS  sampling period in milliseconds (default 1000,
+//                          must be positive).
 //
 // Header-only; each tool owns one ObsWriter for the duration of main().
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -55,8 +57,10 @@ class ObsWriter {
         return false;
       }
       obs::MetricsTimelineOptions options;
-      options.interval = std::chrono::microseconds(
-          static_cast<long long>(metrics_interval_ms * 1000.0));
+      // Under 1 us the sampler would spin; past ~30 years the tick count
+      // would overflow.
+      options.interval = std::chrono::microseconds(static_cast<long long>(
+          std::clamp(metrics_interval_ms * 1000.0, 1.0, 1e15)));
       timeline_ = std::make_unique<obs::MetricsTimeline>(options);
       timeline_->start();
     }
