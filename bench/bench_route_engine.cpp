@@ -21,19 +21,19 @@
 // checks inside route_into (witness range + cost identity, all O(1)
 // compares): contracts staying live in production is part of what the
 // 1.05x budget pays for.
-// BM_PackedKernel* isolate the word-parallel (SWAR) side-minimum kernel
-// from strings/packed.hpp against the scalar Algorithm 3 scan on the same
-// pairs — the per-query ablation behind the batch-level bidi-vs-alg1 gate
-// (scripts/bench_report.py --max-bidi-vs-alg1). BM_Engine/128 over
-// BM_Engine/64 and over BM_Engine/32 are the derived engine_k128_vs_k64
-// and engine_k128_vs_k32 rows (--max-engine-k128-vs-k64/-k32). Words up
-// to k = 32 run the diagonal pass (strings::side_minima_diagonal); longer
-// ones run the offset sweep, which packs d = 2 at one bit per digit: a
-// 64-bit lane up to k = 64, one 128-bit lane at k = 128 and 64-bit limbs
-// past it (eight at k = 512). engine_k128_vs_k64 compares two sweep lanes
-// and shows k = 128 still gets the 1-bit lane; engine_k128_vs_k32
-// compares the 128-bit lane with the pass and reads 8-24x, so its bound
-// of 20 is within its noise.
+// The engine runs one of two side-minimum kernels (strings/packed.hpp),
+// both under one witness rule: words up to k = 32 (d <= 16) the diagonal
+// pass, every other word the seeded kernel, which tests the central cells
+// of all diagonals at once and measures only the diagonals that pass.
+// BM_EngineStream (d = 2) and BM_EngineStreamRadix (d = 4, 16, 20) map the
+// dispatch on streams of random pairs, BM_EnginePeriodic on pairs whose
+// runs reach k - 1, and BM_SeededKernel times the kernel alone against
+// BM_PackedKernelMinLCostScalar, one side of the scalar Algorithm 3 scan.
+// Derived rows (scripts/bench_report.py): BM_Engine/128 over /64 and over
+// /32 are engine_k128_vs_k64 and engine_k128_vs_k32 (--max-engine-k128-
+// vs-k64/-k32), and BM_EngineStream/256 over /128 is
+// engine_stream_k256_vs_k128 (--max-engine-stream-k256-vs-k128), which an
+// O(k^2) path would push from about 1.7x to 5-7x.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -102,18 +102,17 @@ BENCHMARK(BM_EngineDistanceOnly)
     ->Complexity();
 
 // A request stream: each iteration routes the next of 4,096 distinct
-// random DG(2,k) pairs, so the time is ns per pair on pairs the branch
+// random DG(d,k) pairs, so the time is ns per pair on pairs the branch
 // predictor has not learnt, as a server sees them. BM_Engine repeats one
 // pair; derived/engine_stream_vs_fixed_k16 is the ratio of the two at
-// k = 16.
-void BM_EngineStream(benchmark::State& state) {
+// k = 16, and derived/engine_stream_k256_vs_k128 what doubling k costs.
+void engine_stream(benchmark::State& state, std::uint32_t d, std::size_t k) {
   constexpr std::size_t kPairs = 4096;
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
   Rng rng(k);
   std::vector<RouteQuery> pairs;
   pairs.reserve(kPairs);
   for (std::size_t i = 0; i < kPairs; ++i) {
-    pairs.push_back(RouteQuery{random_word(rng, 2, k), random_word(rng, 2, k)});
+    pairs.push_back(RouteQuery{random_word(rng, d, k), random_word(rng, d, k)});
   }
   BidirectionalRouteEngine engine(k);
   RoutingPath path;
@@ -126,11 +125,28 @@ void BM_EngineStream(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EngineStream)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
-// The diagonal pass's worst shape: pairs whose common runs reach k - 1, so
-// the pass runs all k of its steps. Iterations alternate (01)^(k/2) vs
-// (10)^(k/2) and 0^k vs 0^(k-1) 1.
+// d = 2 at k: the pass up to 32, the seeded kernel past it.
+void BM_EngineStream(benchmark::State& state) {
+  engine_stream(state, 2, static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_EngineStream)
+    ->Arg(8)->Arg(16)->Arg(32)->Arg(33)->Arg(64)->Arg(128)->Arg(256)
+    ->Arg(512);
+
+// d/k for two and four bits per digit and for unpacked digits (d = 20,
+// where even k = 6 runs the seeded kernel).
+void BM_EngineStreamRadix(benchmark::State& state) {
+  engine_stream(state, static_cast<std::uint32_t>(state.range(0)),
+                static_cast<std::size_t>(state.range(1)));
+}
+BENCHMARK(BM_EngineStreamRadix)
+    ->ArgsProduct({{4, 16}, {33, 64, 128, 256, 512}})
+    ->Args({20, 6})->Args({20, 33})->Args({20, 64});
+
+// Pairs whose common runs reach k - 1: the diagonal pass runs all k of its
+// steps, and the seeded kernel stops after |c| = 1. Iterations alternate
+// (01)^(k/2) vs (10)^(k/2) and 0^k vs 0^(k-1) 1.
 void BM_EnginePeriodic(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   std::vector<Digit> alternating(k), shifted(k), ones_last(k, 0);
@@ -152,7 +168,8 @@ void BM_EnginePeriodic(benchmark::State& state) {
     next ^= 1;
   }
 }
-BENCHMARK(BM_EnginePeriodic)->Arg(16)->Arg(32);
+BENCHMARK(BM_EnginePeriodic)
+    ->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 /// Accepts every event and throws it away — isolates the cost of *producing*
 /// trace events from any export format.
@@ -194,35 +211,25 @@ void BM_TracedRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_TracedRoute)->Arg(16);
 
-void BM_PackedKernelMinLCost(benchmark::State& state) {
-  // One l-side sweep on the lane the engine uses at this k: one 128-bit
-  // lane (a 64-bit one up to k = 64) up to k = 128, four 64-bit limbs
-  // past it.
+void BM_SeededKernel(benchmark::State& state) {
+  // Both side minima from the seeded kernel alone, packing included, on
+  // one random DG(2,k) pair.
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   Rng rng(k);
   const Word x = random_word(rng, 2, k);
   const Word y = random_word(rng, 2, k);
-  if (strings::packable(2, k, strings::kLaneBits)) {
-    const strings::PackedBuf px = strings::pack_word(x.symbols(), 2);
-    const strings::PackedBuf py = strings::pack_word(y.symbols(), 2);
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(strings::min_l_cost_packed(px, py));
-    }
-  } else {
-    const strings::WideBuf px = strings::pack_wide(x.symbols(), 2);
-    const strings::WideBuf py = strings::pack_wide(y.symbols(), 2);
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(strings::min_l_cost_wide(px, py));
-    }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        strings::side_minima_seeded(x.symbols(), y.symbols(), 2));
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_PackedKernelMinLCost)->Arg(10)->Arg(16)->Arg(32)->Arg(64)
-    ->Arg(128)->Arg(256)->Complexity();
+BENCHMARK(BM_SeededKernel)->Arg(10)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
+    ->Arg(256)->Arg(512)->Complexity();
 
 void BM_PackedKernelMinLCostScalar(benchmark::State& state) {
-  // The scalar Algorithm 3 scan on the identical pairs — the denominator
-  // of the packed speedup at each k.
+  // The scalar Algorithm 3 scan of one side on the identical pairs, the
+  // O(k^2) reference the kernels replace.
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   Rng rng(k);
   const Word x = random_word(rng, 2, k);
@@ -234,25 +241,6 @@ void BM_PackedKernelMinLCostScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedKernelMinLCostScalar)->Arg(10)->Arg(16)->Arg(32)->Arg(64)
     ->Arg(128)->Arg(256)->Complexity();
-
-void BM_PackedKernelPackAndSweep(benchmark::State& state) {
-  // The full per-query packed cost as the engine pays it: two packs,
-  // two O(log) lane reversals, the l-side sweep, and the r-side sweep
-  // pruned against the l-side incumbent.
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
-  Rng rng(k);
-  const Word x = random_word(rng, 2, k);
-  const Word y = random_word(rng, 2, k);
-  for (auto _ : state) {
-    const strings::PackedBuf px = strings::pack_word(x.symbols(), 2);
-    const strings::PackedBuf py = strings::pack_word(y.symbols(), 2);
-    const strings::OverlapMin l = strings::min_l_cost_packed(px, py);
-    benchmark::DoNotOptimize(l);
-    benchmark::DoNotOptimize(strings::min_l_cost_packed_bounded(
-        strings::reverse_cells(px), strings::reverse_cells(py), l.cost));
-  }
-}
-BENCHMARK(BM_PackedKernelPackAndSweep)->Arg(10)->Arg(32);
 
 // The CI smoke grid: DG(2,10), random pairs, 8192 queries per batch.
 constexpr std::uint32_t kSmokeD = 2;

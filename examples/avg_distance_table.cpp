@@ -4,23 +4,43 @@
 //   defaults: d = 2, k = 8, samples = 50000.
 // Prints the directed and undirected distance statistics of DG(d,k),
 // choosing exact enumeration when d^k is small and sampling otherwise.
-#include <cstdlib>
+// Arguments parse whole (tools/args.hpp): "2x" is a usage error, exit 1.
 #include <iostream>
+#include <optional>
+#include <string_view>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/average_distance.hpp"
 #include "core/distance.hpp"
+#include "tools/args.hpp"
+
+namespace {
+
+void usage(std::ostream& out) {
+  out << "usage: avg_distance_table [d>=2] [k>=1] [samples]\n";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dbn;
-  const std::uint32_t d = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 2;
-  const std::size_t k = argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 8;
-  const std::size_t samples =
-      argc > 3 ? static_cast<std::size_t>(std::atol(argv[3])) : 50000;
+  const std::vector<std::string_view> args(argv + 1, argv + argc);
+  std::optional<std::uint32_t> d_arg;
+  std::optional<std::size_t> k_arg;
+  std::optional<std::size_t> samples_arg;
+  tools::ArgParser parser("avg_distance_table", 1, usage);
+  parser.positional("d", d_arg).positional("k", k_arg).positional("samples",
+                                                                  samples_arg);
+  if (const auto status = parser.parse(args)) {
+    return *status;
+  }
+  const std::uint32_t d = d_arg.value_or(2);
+  const std::size_t k = k_arg.value_or(8);
+  const std::size_t samples = samples_arg.value_or(50000);
   if (d < 2 || k < 1) {
-    std::cerr << "usage: avg_distance_table [d>=2] [k>=1] [samples]\n";
-    return 1;
+    return parser.fail("need d >= 2 and k >= 1");
   }
   const std::uint64_t n = Word::vertex_count(d, k);
   std::cout << "DG(" << d << "," << k << "): N = " << n << ", diameter = "

@@ -37,20 +37,22 @@ Two subcommands:
            When bench_route_engine's BM_Engine/32, /64 and /128 rows are
            recorded, derived engine_k128_vs_k64 and engine_k128_vs_k32
            ratios are appended. --max-engine-k128-vs-k64 R fails when
-           doubling the DG(2,k) word from 64 to 128 bits costs more than
-           R x (CI uses 30: the O(k^2) scalar scan the packed lanes
-           replaced cost over 100x). --max-engine-k128-vs-k32 R fails when
-           quadrupling it from 32 to 128 costs more than R x (CI uses 20:
-           at two bits per cell k=128 takes four 64-bit limbs, 34-45x; one
-           bit per cell keeps it in one 128-bit lane, and with k=32 on the
-           diagonal pass the ratio reads 8-24x, so the bound is within its
-           noise). When BM_EngineStream/16 and BM_Engine/16 are recorded,
-           a derived engine_stream_vs_fixed_k16 ratio is appended: a
-           stream of 4,096 distinct pairs against the one pair BM_Engine
-           repeats. --max-engine-stream-vs-fixed-k16 R fails when the
-           stream costs more than R x (CI uses 2.1: with the offset sweep
-           at k=16 it read 1.9-4.0x, median 2.9, with the diagonal pass
-           0.9-2.0x, median 1.4).
+           doubling the DG(2,k) word from 64 to 128 digits costs more than
+           R x (CI uses 30: the O(k^2) scalar scan cost over 100x).
+           --max-engine-k128-vs-k32 R fails when quadrupling it from 32 to
+           128 costs more than R x (CI uses 20: k=32 runs the diagonal
+           pass and k=128 the seeded kernel). When BM_EngineStream/256 and
+           /128 are recorded, a derived engine_stream_k256_vs_k128 ratio
+           is appended: what doubling k costs on a stream of random pairs.
+           --max-engine-stream-k256-vs-k128 R fails above R x (CI uses
+           3.0: the seeded kernel's O(k) expected work reads about 2x,
+           while any O(k^2) path reads 5-7x). When BM_EngineStream/16 and
+           BM_Engine/16 are recorded, a derived engine_stream_vs_fixed_k16
+           ratio is appended: a stream of 4,096 distinct pairs against the
+           one pair BM_Engine repeats. --max-engine-stream-vs-fixed-k16 R
+           fails when the stream costs more than R x (CI uses 2.1: with
+           the offset sweep at k=16 it read 1.9-4.0x, median 2.9, with the
+           diagonal pass 0.9-2.0x, median 1.4).
 
   compare  Check a fresh report against a committed baseline and fail
            (exit 1) when any comparable single-thread entry regressed by
@@ -279,16 +281,15 @@ def derive_engine_ratio(rows, num_row, den_row, name):
 
     Both rows come from one run of bench_route_engine and end in
     "/<num_row>" and "/<den_row>". BM_Engine routes one random DG(2,k)
-    pair, and d = 2 packs one bit per digit. Up to k=32 the engine runs the
-    diagonal pass: one AND/OR step over k 64-bit rows per common-run
-    length. Past it the offset sweep runs: k=64 on a 64-bit lane, k=128 on
-    one 128-bit lane and k=256 on four 64-bit limbs, visiting O(k) offsets
-    of O(k/64) words each. The scalar Algorithm 3 scan the packed lanes
-    replaced cost over 100x per doubling, so engine_k128_vs_k64 shows
-    whether k=128 still takes a packed lane. engine_k128_vs_k32 compares
-    the sweep's 128-bit lane with the diagonal pass, and stays under its
-    bound only while k=128 keeps the 1-bit lane. BM_EngineStream routes a
-    new pair on each iteration, so engine_stream_vs_fixed_k16 is what the
+    pair. Up to k=32 the engine runs the diagonal pass: one AND/OR step
+    over k 64-bit rows per common-run length. Past it the seeded kernel
+    runs: it tests the central cells of every diagonal at once, O(k/64)
+    words per seed cell, and measures only the diagonals that pass, a few
+    in a hundred for random words. The scalar Algorithm 3 scan cost over
+    100x per doubling, so engine_k128_vs_k64 and engine_stream_k256_vs_k128
+    show whether an O(k^2) path came back. engine_k128_vs_k32 compares the
+    seeded kernel with the diagonal pass. BM_EngineStream routes a new
+    pair on each iteration, so engine_stream_vs_fixed_k16 is what the
     branch predictor's memory of one pair hides. Returns None when either
     row is absent.
     """
@@ -339,6 +340,8 @@ ENGINE_RATIOS = [
     ("engine_k128_vs_k64", "BM_Engine/128", "BM_Engine/64"),
     ("engine_k128_vs_k32", "BM_Engine/128", "BM_Engine/32"),
     ("engine_stream_vs_fixed_k16", "BM_EngineStream/16", "BM_Engine/16"),
+    ("engine_stream_k256_vs_k128", "BM_EngineStream/256",
+     "BM_EngineStream/128"),
 ]
 
 
@@ -608,6 +611,11 @@ def main():
                      help="fail when BM_EngineStream/16 costs more than "
                           "this ratio of BM_Engine/16 in the same run (0 = "
                           "no gate; CI uses 2.1)")
+    rec.add_argument("--max-engine-stream-k256-vs-k128", type=float,
+                     default=0.0,
+                     help="fail when BM_EngineStream/256 costs more than "
+                          "this ratio of BM_EngineStream/128 in the same "
+                          "run (0 = no gate; CI uses 3.0)")
     rec.set_defaults(func=cmd_record)
 
     cmp_ = sub.add_parser("compare", help="gate a report against a baseline")

@@ -48,12 +48,13 @@ House rules (each one exists because the generic tooling cannot express it):
                       oracle/ header, so production code and its link lines
                       stay free of dbn_oracle. Tests and benches may.
 
-  argv-parse          Every tool reads its command line through one parser,
-                      tools/args.hpp (both flag forms, whole-number parsing,
-                      usage errors). A private flag_value/has_flag or a
-                      std::ato*/std::sto*/strto* call in tools/ outside that
-                      header is a second parser: atoi("abc") is a silent 0,
-                      stod("1x") a silent 1.
+  argv-parse          Every tool and example reads its command line through
+                      one parser, tools/args.hpp (both flag forms,
+                      whole-number parsing, usage errors). A private
+                      flag_value/has_flag or a std::ato*/std::sto*/strto*
+                      call in tools/ or examples/ outside that header is a
+                      second parser: atoi("abc") is a silent 0, stod("1x")
+                      a silent 1.
 
 Suppressing a finding requires an inline justification on the same line:
     ... // dbn-lint: allow(<rule>) <reason>
@@ -281,13 +282,14 @@ class Linter:
                             "(production routes run core/route_engine.hpp)",
                         )
 
-            if top == "tools" and rel != ARGS_HEADER:
+            if top in ("tools", "examples") and rel != ARGS_HEADER:
                 if ARGV_PARSE_RE.search(bare):
                     fired.add("argv-parse")
                     if "argv-parse" not in allowed:
                         self.report(
                             path, lineno, "argv-parse",
-                            "tools parse argv with tools/args.hpp "
+                            "tools and examples parse argv with "
+                            "tools/args.hpp "
                             "(ArgParser, parse_number); no private flag "
                             "lookup or ato*/sto*/strto* call",
                         )

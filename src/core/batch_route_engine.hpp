@@ -10,11 +10,10 @@
 //   - a chunked thread pool (common/thread_pool.hpp) — queries are
 //     independent, so the batch splits into dynamically scheduled chunks;
 //   - per-worker scratch arenas — each worker owns a
-//     BidirectionalRouteEngine (packed lanes up to 512 bits, or the
-//     in-place Algorithm 3 scan with reused Morris–Pratt rows for d > 16
-//     and longer words) and writes paths in place, so
-//     the hot path performs no per-query allocation beyond growing the
-//     caller-visible output paths;
+//     BidirectionalRouteEngine (the diagonal pass up to k = 32, the seeded
+//     kernel past it) and writes paths in place, so the hot path performs
+//     no per-query allocation beyond growing the caller-visible output
+//     paths;
 //   - two backends — Algorithm 1 (directed) and Theorem 2 through the
 //     allocation-free engine (undirected);
 //   - an optional memo keyed on (X, Y) for workloads with repeated pairs

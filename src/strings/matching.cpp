@@ -59,12 +59,6 @@ std::vector<std::vector<int>> matching_table_r(SymbolView x, SymbolView y) {
 }
 
 OverlapMin min_l_cost(SymbolView x, SymbolView y) {
-  std::vector<int> border;
-  return min_l_cost_buffered(x, y, border);
-}
-
-OverlapMin min_l_cost_buffered(SymbolView x, SymbolView y,
-                               std::vector<int>& border) {
   DBN_REQUIRE(!x.empty() && x.size() == y.size(),
               "min_l_cost requires two non-empty words of equal length");
   // Algorithm 3 once per row i: the pattern is x_i..x_k, its failure
@@ -72,6 +66,7 @@ OverlapMin min_l_cost_buffered(SymbolView x, SymbolView y,
   // at the pattern length (matching_row_l, without the row vector).
   const std::size_t k = x.size();
   const int ki = static_cast<int>(k);
+  std::vector<int> border;
   OverlapMin best;
   best.cost = 2 * ki;  // larger than any reachable value (min <= k, see below)
   for (int i = 1; i <= ki; ++i) {

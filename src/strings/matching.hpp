@@ -45,6 +45,8 @@ struct OverlapMin {
   int s = 0;
   int t = 0;
   int theta = 0;
+
+  friend bool operator==(const OverlapMin&, const OverlapMin&) = default;
 };
 
 /// The paper's Algorithm 2, lines 3/4 in the O(k)-space form of section 3.2:
@@ -54,11 +56,5 @@ struct OverlapMin {
 /// The r-side minimum (D2, with s2/t2/theta2) is obtained by calling this
 /// on the reversed words; see core/path_builder.hpp for the mapping.
 OverlapMin min_l_cost(SymbolView x, SymbolView y);
-
-/// min_l_cost with each row's failure function in the caller's `border`
-/// buffer, so a caller that keeps the buffer allocates nothing once it has
-/// grown to k.
-OverlapMin min_l_cost_buffered(SymbolView x, SymbolView y,
-                               std::vector<int>& border);
 
 }  // namespace dbn::strings

@@ -24,7 +24,9 @@ struct FuzzPoint {
 // parameters (d=1, k=1), the large-k formula-only region (agreement
 // between the O(k), O(k^2) and greedy engines, no BFS; past 2^64
 // vertices no greedy either) and the Kautz sibling family. Larger-radix
-// points keep digits within the corpus alphabet (<= 36).
+// points keep digits within the corpus alphabet (<= 36), except (255, 40):
+// no corpus line holds its words, so a disagreement there ends the run on
+// the corpus digit-range contract (exit 2) instead of printing one.
 std::vector<FuzzPoint> fuzz_schedule() {
   std::vector<FuzzPoint> points;
   for (const auto orientation :
@@ -49,18 +51,26 @@ std::vector<FuzzPoint> fuzz_schedule() {
     // quadratic scan and greedy walks must still agree with each other.
     points.push_back({orientation, 2, 16});
     // k = 32 is the engine's diagonal pass's last length at every radix
-    // it takes; k = 33 is the offset sweep's first.
+    // it takes; k = 33 is the seeded kernel's first.
     points.push_back({orientation, 2, 32});
     points.push_back({orientation, 4, 32});
     points.push_back({orientation, 16, 32});
     points.push_back({orientation, 2, 33});
     points.push_back({orientation, 3, 12});
     points.push_back({orientation, 10, 7});
-    // d > 16 keeps the engine's in-place Algorithm 3 scan fuzzed.
+    // d > 16: the seeded kernel reads digits, not packed cells, even at
+    // lengths the pass would take.
     points.push_back({orientation, 20, 6});
-    // Past 2^64 vertices (formula oracles only): words on the 128-bit
-    // and 4- and 8-limb lanes, across limb boundaries, and d = 2 just
-    // past the widest lane (the in-place scan).
+    // The seeded kernel's edges: d = 1 past the pass (every word equal),
+    // k = 45 -> 46 at d = 2 (where d^q >= k^2 steps q from 11 to 12), and
+    // the first length past the pass at d = 17 and 255.
+    points.push_back({orientation, 1, 40});
+    points.push_back({orientation, 2, 45});
+    points.push_back({orientation, 2, 46});
+    points.push_back({orientation, 17, 33});
+    points.push_back({orientation, 255, 40});
+    // Past 2^64 vertices (formula oracles only): packed words across 64-bit
+    // word boundaries at one, two and four bits per digit.
     points.push_back({orientation, 2, 65});
     points.push_back({orientation, 2, 130});
     points.push_back({orientation, 2, 257});

@@ -93,10 +93,9 @@ class Alg4SuffixAutomatonOracle final : public RouteOracle {
   bool emits_three_block() const override { return true; }
 };
 
-// The allocation-free engine: the packed offset sweep whenever (d, k)
-// fits a lane (one 128-bit lane, or up to 512 bits of 64-bit limbs), the
-// in-place Algorithm 3 scan otherwise — so the conformance driver and
-// dbn_fuzz cross-check every lane against the other implementations.
+// The allocation-free engine: the diagonal pass up to k = 32 (d <= 16),
+// the seeded kernel otherwise — so the conformance driver and dbn_fuzz
+// cross-check both kernels against the other implementations.
 class RouteEngineOracle final : public RouteOracle {
  public:
   explicit RouteEngineOracle(std::size_t k) : engine_(k) {}

@@ -1,7 +1,8 @@
-// Heavy cross-kernel fuzzing: all six Theorem 2 engines (plus the naive
-// enumeration where affordable) against each other on structured,
-// adversarial and randomized word families. Any divergence means one of
-// the six independently derived algorithms is wrong.
+// Heavy cross-kernel fuzzing: the Theorem 2 engines — the Morris–Pratt
+// scan, Z rows, suffix tree, suffix automaton, suffix array and the route
+// engine's kernels (plus the naive enumeration where affordable) — against
+// each other on structured, adversarial and randomized word families. Any
+// divergence means one of the independently derived algorithms is wrong.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "oracle/common_substring.hpp"
 #include "oracle/kmp.hpp"
 #include "oracle/naive.hpp"
+#include "oracle/side_minima_reference.hpp"
 #include "oracle/suffix_array.hpp"
 #include "oracle/zfunction.hpp"
 #include "strings/failure.hpp"
@@ -35,10 +37,16 @@ void expect_all_kernels_agree(const std::vector<Symbol>& x,
   EXPECT_EQ(strings::min_l_cost_suffix_automaton(x, y).cost, expected)
       << family;
   EXPECT_EQ(strings::min_l_cost_suffix_array(x, y).cost, expected) << family;
-  strings::PackedBuf px, py;
-  if (strings::try_pack_pair(x, y, px, py)) {
-    // The SWAR offset sweep joins the panel whenever the pair fits a lane.
-    EXPECT_EQ(strings::min_l_cost_packed(px, py).cost, expected) << family;
+  // The route engine's kernels join the panel: the seeded kernel always,
+  // the diagonal pass where it fits.
+  const Symbol top = std::max(*std::max_element(x.begin(), x.end()),
+                              *std::max_element(y.begin(), y.end()));
+  EXPECT_EQ(strings::side_minima_seeded(x, y, top + 1).l_side.cost, expected)
+      << family;
+  if (strings::diagonal_pass_fits(top + 1, x.size())) {
+    EXPECT_EQ(strings::side_minima_diagonal(x, y, top + 1).l_side.cost,
+              expected)
+        << family;
   }
   if (x.size() <= 16) {
     EXPECT_EQ(strings::naive::min_l_cost(x, y).cost, expected) << family;
@@ -163,19 +171,16 @@ TEST(KernelFuzz, PackedOverlapAndSearchKernels) {
     if (strings::try_pack_pair(x, y, px, py)) {
       EXPECT_EQ(strings::suffix_prefix_overlap_packed(px, py),
                 strings::naive::suffix_prefix_overlap(x, y));
-      strings::PackedBuf rx;
-      ASSERT_TRUE(strings::try_pack(strings::reversed(x), px.width, rx));
-      EXPECT_EQ(strings::reverse_cells(px), rx);
     }
   }
 }
 
 TEST(KernelFuzz, PackedSideMinimumAtLaneBoundaries) {
-  // Dense sweep at every lane and limb edge — k = 64/65, 128/129, ...,
-  // 448/449, 511/512 at width 1 (d = 2), 32/33, 64/65, 96/97, 128/129,
-  // 255/256 at width 2 and 16/17, 32/33, 64/65, 127/128 at width 4 —
-  // where a mask off-by-one or a carry dropped between limbs would hide.
-  // Rotations put long runs across every limb boundary.
+  // Dense sweep of the seeded kernel at the 64-bit word edges of its packed
+  // words — k = 64/65, 128/129, ..., 511/512 at width 1 (d = 2), 32/33,
+  // 64/65, 96/97, 128/129, 255/256 at width 2 and 16/17, 32/33, 64/65,
+  // 127/128 at width 4 — where a window off by one cell would hide.
+  // Rotations put long runs across every word boundary.
   static constexpr std::array<std::size_t, 16> kWidth1Edges = {
       64, 65, 128, 129, 192, 193, 256, 257, 320, 321, 384, 385, 448, 449,
       511, 512};
@@ -207,25 +212,12 @@ TEST(KernelFuzz, PackedSideMinimumAtLaneBoundaries) {
     if (rng.chance(0.5)) {
       y[rng.below(k)] = static_cast<Symbol>(rng.below(alphabet));
     }
-    const int truth = strings::min_l_cost(x, y).cost;
-    const strings::WideBuf px = strings::pack_wide(x, alphabet);
-    const strings::WideBuf py = strings::pack_wide(y, alphabet);
-    const OverlapMin wide = strings::min_l_cost_wide(px, py);
-    EXPECT_EQ(wide.cost, truth);
-    testing::expect_valid_witness(x, y, wide);
-    if (strings::packable(alphabet, k, strings::kLaneBits)) {
-      const OverlapMin packed =
-          strings::min_l_cost_packed(strings::pack_word(x, alphabet),
-                                     strings::pack_word(y, alphabet));
-      EXPECT_EQ(packed.cost, truth);
-      testing::expect_valid_witness(x, y, packed);
-    }
-    // The bounded sweep is exact below its bound and never undercuts the
-    // true minimum above it.
-    const int bound = truth + static_cast<int>(rng.below(3)) - 1;
-    const OverlapMin bounded = strings::min_l_cost_wide(px, py, bound);
-    testing::expect_valid_witness(x, y, bounded);
-    EXPECT_EQ(std::min(bound, bounded.cost), std::min(bound, truth));
+    const strings::SideMinima m = strings::side_minima_seeded(x, y, alphabet);
+    const strings::SideMinima want = oracle::side_minima_reference(x, y);
+    EXPECT_EQ(m.l_side, want.l_side);
+    EXPECT_EQ(m.r_side, want.r_side);
+    EXPECT_EQ(m.l_side.cost, strings::min_l_cost(x, y).cost);
+    testing::expect_valid_witness(x, y, m.l_side);
   }
 }
 

@@ -460,7 +460,7 @@ TEST(Trace, NoSinkFastPathDoesNotAllocate) {
   ASSERT_FALSE(obs::tracing_enabled());
   // One pair per side-minimum kernel the engine picks from (d, k): the
   // diagonal pass at one bit per digit (DG(2,8)) and at two (DG(4,16)),
-  // and the 64-bit offset sweep (DG(2,48)).
+  // and the seeded kernel (DG(2,48)).
   Rng rng(7);
   const Word x4 = dbn::testing::random_word(rng, 4, 16);
   const Word y4 = dbn::testing::random_word(rng, 4, 16);
@@ -501,11 +501,12 @@ TEST(Trace, NoSinkFastPathDoesNotAllocate) {
 // work runs in the per-worker engine arena, parallel_for borrows the chunk
 // body without boxing it, a warmed output vector is written in place, and
 // a warmed memo copies into storage it already owns. Every kernel must
-// hold the property: the diagonal pass (DG(2,8), DG(4,16)), the offset
-// sweep on a 64-bit lane (DG(2,48)), on one 128-bit lane (DG(2,80)) and on
-// four and eight limbs (DG(2,256), DG(2,400)), and the in-place
-// Algorithm 3 scan (DG(17,5)). The memo runs with fewer slots than pairs,
-// so its warmed stores evict too.
+// hold the property: the diagonal pass (DG(2,8), DG(4,16)) and the seeded
+// kernel on packed words of one to seven 64-bit words (DG(2,48),
+// DG(2,80), DG(2,256), DG(2,400)), on words past its stack buffer, which
+// live in per-thread scratch (DG(16,520), 2,080 bits), and on digits
+// (DG(17,5)). The memo runs with fewer slots than pairs, so its warmed
+// stores evict too.
 TEST(Trace, WarmedBatchEngineDoesNotAllocate) {
   ASSERT_FALSE(obs::tracing_enabled());
   struct Network {
@@ -513,14 +514,14 @@ TEST(Trace, WarmedBatchEngineDoesNotAllocate) {
     std::size_t k;
     std::size_t cache_entries;
   };
-  // One network per kernel: the diagonal pass at one and at two bits per
-  // digit, the sweep's 64-bit lane, 128 bits, four and eight limbs, and
-  // the in-place scan.
+  // One network per kernel and packed size: the diagonal pass at one and
+  // at two bits per digit, and the seeded kernel at 48, 80, 256, 400 and
+  // 2,080 bits and on digits.
   for (const Network net : {Network{2, 8, 0}, Network{4, 16, 0},
                             Network{2, 48, 0}, Network{2, 80, 0},
                             Network{2, 256, 0}, Network{2, 400, 0},
-                            Network{17, 5, 0}, Network{2, 8, 32},
-                            Network{2, 80, 32}}) {
+                            Network{16, 520, 0}, Network{17, 5, 0},
+                            Network{2, 8, 32}, Network{2, 80, 32}}) {
     const std::string label = "DG(" + std::to_string(net.d) + "," +
                               std::to_string(net.k) + ") cache " +
                               std::to_string(net.cache_entries);
@@ -560,7 +561,7 @@ TEST(Trace, WarmedBatchEngineDoesNotAllocate) {
     if (net.cache_entries > 0) {
       EXPECT_GT(evictions, 0u) << label;
     }
-    // Allocation-free must not mean wrong: every lane answers the
+    // Allocation-free must not mean wrong: every kernel answers the
     // suffix-automaton distance.
     for (std::size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(distances[i], undirected_distance(queries[i].x, queries[i].y))

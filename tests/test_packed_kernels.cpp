@@ -1,11 +1,15 @@
-// The packed-vs-scalar differential battery (ISSUE 6 tentpole lock-in):
-// every SWAR kernel in strings/packed.hpp against its scalar reference —
-// the Morris–Pratt implementations in strings/failure.* and
-// strings/matching.*, and the brute-force oracles in oracle/naive.* — over
+// The packed-kernel differential battery: every kernel in
+// strings/packed.hpp against its reference — the Morris–Pratt
+// implementations in strings/failure.* and strings/matching.*, the
+// brute-force oracles in oracle/naive.*, and for both side-minimum kernels
+// the witness rule as oracle/side_minima_reference.hpp computes it — over
 // random words, unequal lengths, every cell width, and the adversarial
 // word/pair families of the conformance fuzzer.
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include "oracle/common_substring.hpp"
 #include "oracle/kmp.hpp"
 #include "oracle/naive.hpp"
+#include "oracle/side_minima_reference.hpp"
 #include "strings/failure.hpp"
 #include "strings/matching.hpp"
 #include "strings/packed.hpp"
@@ -57,29 +62,18 @@ TEST(PackedKernels, WidthSelectionAndPackability) {
   EXPECT_EQ(strings::packed_width(16), 4u);
   EXPECT_EQ(strings::packed_width(17), 0u);
   // One 128-bit PackedBuf lane.
-  EXPECT_TRUE(strings::packable(2, 128, strings::kLaneBits));
-  EXPECT_FALSE(strings::packable(2, 129, strings::kLaneBits));
-  EXPECT_TRUE(strings::packable(4, 64, strings::kLaneBits));
-  EXPECT_FALSE(strings::packable(4, 65, strings::kLaneBits));
-  EXPECT_TRUE(strings::packable(16, 32, strings::kLaneBits));
-  EXPECT_FALSE(strings::packable(16, 33, strings::kLaneBits));
-  // The widest lane, 512 bits of limbs, is the default.
-  EXPECT_TRUE(strings::packable(2, 512));
-  EXPECT_FALSE(strings::packable(2, 513));
-  EXPECT_TRUE(strings::packable(4, 256));
-  EXPECT_FALSE(strings::packable(4, 257));
-  EXPECT_TRUE(strings::packable(16, 128));
-  EXPECT_FALSE(strings::packable(16, 129));
+  EXPECT_TRUE(strings::packable(2, 128));
+  EXPECT_FALSE(strings::packable(2, 129));
+  EXPECT_TRUE(strings::packable(4, 64));
+  EXPECT_FALSE(strings::packable(4, 65));
+  EXPECT_TRUE(strings::packable(16, 32));
+  EXPECT_FALSE(strings::packable(16, 33));
   EXPECT_FALSE(strings::packable(17, 1));
-  EXPECT_EQ(strings::pack_word(std::vector<Symbol>(65, 1), 2).width, 1u);
-  EXPECT_THROW(strings::pack_word(std::vector<Symbol>(129, 0), 2),
-               ContractViolation);
-  EXPECT_THROW(strings::pack_word(std::vector<Symbol>(65, 0), 4),
-               ContractViolation);
-  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(513, 0), 2),
-               ContractViolation);
-  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(257, 0), 4),
-               ContractViolation);
+  PackedBuf out;
+  EXPECT_TRUE(strings::try_pack(std::vector<Symbol>(65, 1), 1, out));
+  EXPECT_EQ(out.width, 1u);
+  EXPECT_FALSE(strings::try_pack(std::vector<Symbol>(129, 0), 1, out));
+  EXPECT_FALSE(strings::try_pack(std::vector<Symbol>(65, 0), 2, out));
 }
 
 TEST(PackedKernels, PackUnpackRoundTrip) {
@@ -88,16 +82,13 @@ TEST(PackedKernels, PackUnpackRoundTrip) {
     for (int trial = 0; trial < 50; ++trial) {
       const std::size_t k = 1 + rng.below(p.max_k);
       const std::vector<Symbol> s = testing::random_symbols(rng, k, p.alphabet);
-      const PackedBuf packed = strings::pack_word(s, p.alphabet);
+      PackedBuf packed;
+      ASSERT_TRUE(
+          strings::try_pack(s, strings::packed_width(p.alphabet), packed));
       EXPECT_EQ(packed.size, k);
       for (std::size_t i = 0; i < k; ++i) {
         EXPECT_EQ(packed.get(i), s[i]);
       }
-      // The O(log) lane reversal must agree with packing the reversed word.
-      const PackedBuf rev =
-          strings::pack_word(strings::reversed(s), p.alphabet);
-      EXPECT_EQ(strings::reverse_cells(packed), rev);
-      EXPECT_EQ(strings::reverse_cells(rev), packed);
     }
   }
 }
@@ -125,11 +116,10 @@ TEST(PackedKernels, TryPackRejectsWhatDoesNotFit) {
   EXPECT_FALSE(strings::try_pack_pair(std::vector<Symbol>{0, 1},
                                       std::vector<Symbol>{16}, px, py));
   // Requiring one common width is what makes the cell compares meaningful.
-  EXPECT_THROW(
-      strings::suffix_prefix_overlap_packed(
-          strings::pack_word(std::vector<Symbol>{0, 1}, 2),
-          strings::pack_word(std::vector<Symbol>{5, 1}, 16)),
-      ContractViolation);
+  ASSERT_TRUE(strings::try_pack(std::vector<Symbol>{0, 1}, 1, px));
+  ASSERT_TRUE(strings::try_pack(std::vector<Symbol>{5, 1}, 4, py));
+  EXPECT_THROW(strings::suffix_prefix_overlap_packed(px, py),
+               ContractViolation);
 }
 
 TEST(PackedKernels, SuffixPrefixOverlapMatchesScalar) {
@@ -155,74 +145,169 @@ TEST(PackedKernels, SuffixPrefixOverlapMatchesScalar) {
   }
 }
 
-TEST(PackedKernels, MinLCostMatchesScalarWithValidWitness) {
-  DBN_SEEDED_RNG(rng, 0x313c);
-  for (const AlphabetParam& p : alphabet_grid()) {
-    for (int trial = 0; trial < 120; ++trial) {
-      const std::size_t k = 1 + rng.below(p.max_k);
-      const std::vector<Symbol> x = testing::random_symbols(rng, k, p.alphabet);
-      const std::vector<Symbol> y = testing::random_symbols(rng, k, p.alphabet);
-      PackedBuf px, py;
-      pack_pair(x, y, px, py);
-      const OverlapMin packed = strings::min_l_cost_packed(px, py);
-      EXPECT_EQ(packed.cost, strings::min_l_cost(x, y).cost);
-      expect_valid_witness(x, y, packed);
-    }
-  }
+std::string side_text(const OverlapMin& m) {
+  std::ostringstream out;
+  out << "{cost " << m.cost << ", s " << m.s << ", t " << m.t << ", theta "
+      << m.theta << "}";
+  return out.str();
 }
 
-TEST(PackedKernels, BoundedSweepIsExactBelowTheBound) {
-  // The engine prunes the r-side sweep with the l-side incumbent; the
-  // contract is that min(bound, result) always equals min(bound, true
-  // minimum), with a valid witness either way.
-  DBN_SEEDED_RNG(rng, 0xb0b0);
-  for (int trial = 0; trial < 400; ++trial) {
-    const std::uint32_t alphabet = trial % 2 == 0 ? 2 : 5 + rng.below(12);
-    const std::size_t k = 1 + rng.below(alphabet == 2 ? 128 : 32);
-    const std::vector<Symbol> x = testing::random_symbols(rng, k, alphabet);
-    const std::vector<Symbol> y = testing::random_symbols(rng, k, alphabet);
-    PackedBuf px, py;
-    pack_pair(x, y, px, py);
-    const int truth = strings::min_l_cost(x, y).cost;
-    EXPECT_EQ(strings::min_l_cost_packed_bounded(px, py,
-                                                 strings::kNoSweepBound)
-                  .cost,
-              truth);
-    for (const int bound : {0, 1, truth, truth + 1, static_cast<int>(k)}) {
-      const OverlapMin m = strings::min_l_cost_packed_bounded(px, py, bound);
-      expect_valid_witness(x, y, m);
-      EXPECT_GE(m.cost, truth) << "bound=" << bound;
-      EXPECT_EQ(std::min(bound, m.cost), std::min(bound, truth))
-          << "bound=" << bound;
-      if (truth < bound) {
-        EXPECT_EQ(m.cost, truth) << "bound=" << bound;
+// Both side minima field by field the reference's, and both witnesses
+// valid (the r-side one as an l-side witness of the reversed words).
+void expect_reference_sides(const std::vector<Symbol>& x,
+                            const std::vector<Symbol>& y,
+                            const strings::SideMinima& got) {
+  SCOPED_TRACE(::testing::Message() << "x=" << ::testing::PrintToString(x)
+                                    << " y=" << ::testing::PrintToString(y));
+  const int k = static_cast<int>(x.size());
+  const strings::SideMinima want = oracle::side_minima_reference(x, y);
+  EXPECT_EQ(got.l_side, want.l_side)
+      << "l-side " << side_text(got.l_side) << " want "
+      << side_text(want.l_side);
+  EXPECT_EQ(got.r_side, want.r_side)
+      << "r-side " << side_text(got.r_side) << " want "
+      << side_text(want.r_side);
+  expect_valid_witness(x, y, got.l_side);
+  expect_valid_witness(strings::reversed(x), strings::reversed(y),
+                       r_side_from_reversed(k, got.r_side));
+}
+
+void expect_seeded_like_reference(const std::vector<Symbol>& x,
+                                  const std::vector<Symbol>& y,
+                                  std::uint32_t d) {
+  expect_reference_sides(x, y, strings::side_minima_seeded(x, y, d));
+}
+
+void expect_pass_like_reference(const std::vector<Symbol>& x,
+                                const std::vector<Symbol>& y,
+                                std::uint32_t d) {
+  expect_reference_sides(x, y, strings::side_minima_diagonal(x, y, d));
+}
+
+// The smallest q with d^q >= k^2 (k for d = 1): the q-gram length at which
+// two random words share O(1) q-grams, so the length around which a seed
+// index would hand short blocks to a corner scan.
+std::size_t qgram_length(std::uint32_t d, std::size_t k) {
+  std::size_t q = 0;
+  for (double reach = 1; q < k && reach < static_cast<double>(k) * k; ++q) {
+    reach *= d;
+  }
+  return std::max<std::size_t>(q, 1);
+}
+
+// Runs `check(x, y)` over the witness-rule families at (d, k): random
+// words; periodic words, a shift of one and two of their own; equal words;
+// the one-shift neighbours L_a(x) = x_2..x_k a and R_a(x) = a x_1..x_{k-1}
+// for the first `neighbours` letters a, as (x, L_a), (x, R_a) and
+// (L_a, x); blocks at both word ends; and blocks of length q - 1 and q on
+// each diagonal from |c| = k - 2q - 1 to k - 2q + 4, at each end of the
+// diagonal.
+template <typename Check>
+void for_each_family(Rng& rng, std::uint32_t d, std::size_t k, int randoms,
+                     std::uint32_t neighbours, const Check& check) {
+  const auto random = [&] { return testing::random_symbols(rng, k, d); };
+  for (int trial = 0; trial < randoms; ++trial) {
+    check(random(), random());
+  }
+  const auto periodic = [&](std::size_t shift) {
+    const std::size_t period = 1 + rng.below(std::max<std::size_t>(1, k / 2));
+    const std::vector<Symbol> block = testing::random_symbols(rng, period, d);
+    std::vector<Symbol> w(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      w[i] = block[(i + shift) % period];
+    }
+    return w;
+  };
+  for (int trial = 0; trial < 3; ++trial) {
+    const std::vector<Symbol> x = periodic(0);
+    const std::size_t shift = rng.below(k);
+    std::vector<Symbol> y(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      y[i] = x[(i + shift) % k];
+    }
+    check(x, y);
+    check(periodic(0), periodic(1));
+  }
+  const std::vector<Symbol> x = random();
+  check(x, x);
+  for (Symbol a = 0; a < std::min(d, neighbours); ++a) {
+    std::vector<Symbol> left(x.begin() + 1, x.end());
+    left.push_back(a);
+    std::vector<Symbol> right{a};
+    right.insert(right.end(), x.begin(), x.end() - 1);
+    check(x, left);
+    check(x, right);
+    check(left, x);
+  }
+  for (int trial = 0; trial < 2; ++trial) {
+    const std::size_t theta = 1 + rng.below(k);
+    std::vector<Symbol> y = random();
+    std::copy(x.begin(), x.begin() + static_cast<long>(theta),
+              y.end() - static_cast<long>(theta));  // c = k - θ
+    check(x, y);
+    y = random();
+    std::copy(x.end() - static_cast<long>(theta), x.end(), y.begin());
+    check(x, y);  // c = -(k - θ)
+  }
+  const auto ki = static_cast<long>(k);
+  const auto q = static_cast<long>(qgram_length(d, k));
+  for (long a = ki - 2 * q - 1; a <= ki - 2 * q + 4; ++a) {
+    if (a < 0 || a >= ki) {
+      continue;
+    }
+    for (const long theta : {q - 1, q}) {
+      const long n = ki - a;
+      if (theta < 1 || theta > n) {
+        continue;
+      }
+      for (const long c : {a, -a}) {
+        for (const long start : {std::max(0L, -c), std::max(0L, -c) + n - theta}) {
+          std::vector<Symbol> y = random();
+          std::copy(x.begin() + start, x.begin() + start + theta,
+                    y.begin() + start + c);
+          check(x, y);
+        }
       }
     }
   }
 }
 
+TEST(PackedKernels, MinLCostMatchesScalarWithValidWitness) {
+  // The seeded kernel's sides against the scalar Algorithm 3 scan on each
+  // orientation, over every cell width and unpacked digits.
+  DBN_SEEDED_RNG(rng, 0x313c);
+  for (const std::uint32_t d : {2u, 3u, 4u, 5u, 16u, 17u, 40u}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const std::size_t k = 1 + rng.below(trial % 3 == 0 ? 300 : 70);
+      const std::vector<Symbol> x = testing::random_symbols(rng, k, d);
+      const std::vector<Symbol> y = testing::random_symbols(rng, k, d);
+      const strings::SideMinima m = strings::side_minima_seeded(x, y, d);
+      EXPECT_EQ(m.l_side.cost, strings::min_l_cost(x, y).cost);
+      EXPECT_EQ(m.r_side.cost,
+                strings::min_l_cost(strings::reversed(x), strings::reversed(y))
+                    .cost);
+      expect_valid_witness(x, y, m.l_side);
+    }
+  }
+}
+
 TEST(PackedKernels, SideMinimumAtEveryLimbEdge) {
-  // Both sides of 64-bit limb boundaries, of the 64-bit-to-128-bit and
-  // 4-to-8-limb switches and of the lane's end, where a dropped carry or
-  // a mask off by one limb would hide. Each pair of every word/pair
-  // family runs through the wide lane, and through the 128-bit lane too
-  // when it fits, against the scalar scan: exact cost, a valid witness,
-  // the reversed words the r side sweeps, and the bounded sweep below and
-  // above its bound.
+  // Both sides of every 64-bit word boundary of the seeded kernel's packed
+  // words, where a dropped carry or a window off by one cell would hide,
+  // for each word/pair family of the conformance fuzzer.
   struct Edges {
     std::vector<std::uint32_t> alphabets;
     std::vector<std::size_t> ks;
   };
   const std::vector<Edges> edges = {
-      {{2}, {64, 65, 128, 129, 192, 193, 256, 257, 511, 512}},  // width 1
-      {{3, 4}, {32, 33, 64, 65, 96, 97, 128, 129, 255, 256}},   // width 2
-      {{5, 16}, {16, 17, 32, 33, 64, 65, 127, 128}},            // width 4
+      {{2}, {63, 64, 65, 127, 128, 129, 192, 193, 256, 257, 511, 512, 513}},
+      {{3, 4}, {31, 32, 33, 63, 64, 65, 96, 97, 128, 129, 255, 256, 257}},
+      {{5, 16}, {15, 16, 17, 31, 32, 33, 64, 65, 127, 128, 129}},
   };
   DBN_SEEDED_RNG(rng, 0x11b5);
   for (const Edges& e : edges) {
     for (const std::uint32_t d : e.alphabets) {
       for (const std::size_t k : e.ks) {
-        ASSERT_TRUE(strings::packable(d, k));
         for (const testkit::WordFamily wf : testkit::kAllWordFamilies) {
           for (const testkit::PairFamily pf : testkit::kAllPairFamilies) {
             SCOPED_TRACE(::testing::Message()
@@ -234,73 +319,34 @@ TEST(PackedKernels, SideMinimumAtEveryLimbEdge) {
                                         xw.symbols().end());
             const std::vector<Symbol> y(yw.symbols().begin(),
                                         yw.symbols().end());
-            const int truth = strings::min_l_cost(x, y).cost;
-            const strings::WideBuf px = strings::pack_wide(x, d);
-            const strings::WideBuf py = strings::pack_wide(y, d);
-            const OverlapMin wide = strings::min_l_cost_wide(px, py);
-            EXPECT_EQ(wide.cost, truth);
-            expect_valid_witness(x, y, wide);
-            if (strings::packable(d, k, strings::kLaneBits)) {
-              const OverlapMin packed = strings::min_l_cost_packed(
-                  strings::pack_word(x, d), strings::pack_word(y, d));
-              EXPECT_EQ(packed.cost, truth);
-              expect_valid_witness(x, y, packed);
-            }
-            for (const int bound : {0, truth, truth + 1}) {
-              const OverlapMin m = strings::min_l_cost_wide(px, py, bound);
-              expect_valid_witness(x, y, m);
-              EXPECT_EQ(std::min(bound, m.cost), std::min(bound, truth))
-                  << "bound=" << bound;
-              if (truth < bound) {
-                EXPECT_EQ(m.cost, truth) << "bound=" << bound;
-              }
-            }
-            const std::vector<Symbol> xr = strings::reversed(x);
-            const std::vector<Symbol> yr = strings::reversed(y);
-            const OverlapMin r_side =
-                strings::min_l_cost_wide(strings::pack_wide(x, d, true),
-                                         strings::pack_wide(y, d, true));
-            EXPECT_EQ(r_side.cost, strings::min_l_cost(xr, yr).cost);
-            expect_valid_witness(xr, yr, r_side);
+            expect_seeded_like_reference(x, y, d);
           }
         }
       }
     }
   }
-  // One length past the widest lane at each width does not pack, so the
-  // engine takes the scalar scan there.
-  EXPECT_FALSE(strings::packable(2, 513));
-  EXPECT_FALSE(strings::packable(4, 257));
-  EXPECT_FALSE(strings::packable(16, 129));
-  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(513, 1), 2),
-               ContractViolation);
-  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(257, 1), 4),
-               ContractViolation);
-  EXPECT_THROW(strings::pack_wide(std::vector<Symbol>(129, 1), 16),
-               ContractViolation);
 }
 
 TEST(PackedKernels, MinLCostOnAdversarialPairFamilies) {
   DBN_SEEDED_RNG(rng, 0xadfa);
-  for (const std::uint32_t d : {2u, 3u, 4u, 8u, 16u}) {
-    const std::size_t k = d <= 4 ? 31 : 29;
-    for (const testkit::WordFamily wf : testkit::kAllWordFamilies) {
-      for (const testkit::PairFamily pf : testkit::kAllPairFamilies) {
-        SCOPED_TRACE(::testing::Message()
-                     << "d=" << d << " " << testkit::family_name(wf) << "/"
-                     << testkit::family_name(pf));
-        for (int trial = 0; trial < 4; ++trial) {
-          const auto [xw, yw] = testkit::sample_pair(rng, d, k, wf, pf);
-          const std::vector<Symbol> x(xw.symbols().begin(),
-                                      xw.symbols().end());
-          const std::vector<Symbol> y(yw.symbols().begin(),
-                                      yw.symbols().end());
-          PackedBuf px, py;
-          pack_pair(x, y, px, py);
-          const OverlapMin packed = strings::min_l_cost_packed(px, py);
-          EXPECT_EQ(packed.cost, strings::min_l_cost(x, y).cost);
-          EXPECT_EQ(packed.cost, min_l_cost_suffix_tree(x, y).cost);
-          expect_valid_witness(x, y, packed);
+  for (const std::uint32_t d : {2u, 3u, 4u, 8u, 16u, 20u}) {
+    for (const std::size_t k : {std::size_t{29}, std::size_t{47}}) {
+      for (const testkit::WordFamily wf : testkit::kAllWordFamilies) {
+        for (const testkit::PairFamily pf : testkit::kAllPairFamilies) {
+          SCOPED_TRACE(::testing::Message()
+                       << "d=" << d << " k=" << k << " "
+                       << testkit::family_name(wf) << "/"
+                       << testkit::family_name(pf));
+          for (int trial = 0; trial < 4; ++trial) {
+            const auto [xw, yw] = testkit::sample_pair(rng, d, k, wf, pf);
+            const std::vector<Symbol> x(xw.symbols().begin(),
+                                        xw.symbols().end());
+            const std::vector<Symbol> y(yw.symbols().begin(),
+                                        yw.symbols().end());
+            const strings::SideMinima m = strings::side_minima_seeded(x, y, d);
+            EXPECT_EQ(m.l_side.cost, min_l_cost_suffix_tree(x, y).cost);
+            expect_seeded_like_reference(x, y, d);
+          }
         }
       }
     }
@@ -309,29 +355,54 @@ TEST(PackedKernels, MinLCostOnAdversarialPairFamilies) {
 
 TEST(PackedKernels, MinLCostPinnedCorners) {
   // k = 1: equal words cost 0, distinct cost 1.
-  PackedBuf a, b;
-  pack_pair(std::vector<Symbol>{1}, std::vector<Symbol>{1}, a, b);
-  EXPECT_EQ(strings::min_l_cost_packed(a, b).cost, 0);
-  pack_pair(std::vector<Symbol>{0}, std::vector<Symbol>{1}, a, b);
-  EXPECT_EQ(strings::min_l_cost_packed(a, b).cost, 1);
-  // X == Y: distance 0 with the full-word witness.
+  strings::SideMinima m = strings::side_minima_seeded(
+      std::vector<Symbol>{1}, std::vector<Symbol>{1}, 2);
+  EXPECT_EQ(m.l_side, (OverlapMin{0, 1, 1, 1}));
+  EXPECT_EQ(m.r_side, (OverlapMin{0, 1, 1, 1}));
+  m = strings::side_minima_seeded(std::vector<Symbol>{0},
+                                  std::vector<Symbol>{1}, 2);
+  EXPECT_EQ(m.l_side, (OverlapMin{1, 1, 1, 0}));
+  // X == Y: distance 0 with the full-word witness on both sides.
   DBN_SEEDED_RNG(rng, 0xc02e);
-  const std::vector<Symbol> w = testing::random_symbols(rng, 20, 4);
-  pack_pair(w, w, a, b);
-  const OverlapMin self = strings::min_l_cost_packed(a, b);
-  EXPECT_EQ(self.cost, 0);
-  EXPECT_EQ(self.theta, 20);
-  // No shared symbol at all: the theta = 0 baseline k.
-  const std::vector<Symbol> zeros(16, 0);
-  const std::vector<Symbol> ones(16, 1);
-  pack_pair(zeros, ones, a, b);
-  const OverlapMin far = strings::min_l_cost_packed(a, b);
-  EXPECT_EQ(far.cost, 16);
-  EXPECT_EQ(far.theta, 0);
-  // Mismatched sizes violate the contract.
-  pack_pair(zeros, ones, a, b);
-  b.size = 15;
-  EXPECT_THROW(strings::min_l_cost_packed(a, b), ContractViolation);
+  const std::vector<Symbol> w = testing::random_symbols(rng, 70, 4);
+  m = strings::side_minima_seeded(w, w, 4);
+  EXPECT_EQ(m.l_side, (OverlapMin{0, 1, 70, 70}));
+  EXPECT_EQ(m.r_side, (OverlapMin{0, 70, 1, 70}));
+  // No shared symbol at all: the θ = 0 baselines.
+  const std::vector<Symbol> zeros(40, 0);
+  const std::vector<Symbol> ones(40, 1);
+  m = strings::side_minima_seeded(zeros, ones, 2);
+  EXPECT_EQ(m.l_side, (OverlapMin{40, 1, 40, 0}));
+  EXPECT_EQ(m.r_side, (OverlapMin{40, 40, 1, 0}));
+  // One shared digit at each corner, x_1 == y_40 and x_40 == y_1, each
+  // the cheapest of the single-digit blocks on its side.
+  std::vector<Symbol> corner = zeros;
+  corner.front() = 1;
+  std::vector<Symbol> other = ones;
+  other.front() = 0;
+  m = strings::side_minima_seeded(corner, other, 2);
+  EXPECT_EQ(m.l_side, (OverlapMin{39, 1, 40, 1}));
+  EXPECT_EQ(m.r_side, (OverlapMin{39, 40, 1, 1}));
+  // Mismatched sizes and digits past the alphabet violate the contract.
+  EXPECT_THROW(strings::side_minima_seeded(zeros, std::vector<Symbol>(39, 0),
+                                           2),
+               ContractViolation);
+  EXPECT_THROW(strings::side_minima_seeded(zeros, ones, 1),
+               ContractViolation);
+  EXPECT_THROW(strings::side_minima_seeded(zeros,
+                                           std::vector<Symbol>(40, 3), 3),
+               ContractViolation);
+  EXPECT_EQ(strings::side_minima_seeded(std::vector<Symbol>(40, 1),
+                                        std::vector<Symbol>(40, 2), 3)
+                .l_side,
+            (OverlapMin{40, 1, 40, 0}));
+  EXPECT_THROW(strings::side_minima_seeded(std::vector<Symbol>(40, 1),
+                                           std::vector<Symbol>(40, 2), 2),
+               ContractViolation);
+  EXPECT_THROW(strings::side_minima_seeded(std::vector<Symbol>(40, 30), ones,
+                                           20),
+               ContractViolation);
+  EXPECT_THROW(strings::side_minima_seeded({}, {}, 2), ContractViolation);
 }
 
 TEST(PackedKernels, LongestCommonSubstringMatchesNaiveAndSuffixTree) {
@@ -357,124 +428,109 @@ TEST(PackedKernels, LongestCommonSubstringMatchesNaiveAndSuffixTree) {
   }
 }
 
-// The route plan the engine made before the diagonal pass, and still makes
-// past k = 32: the l-side sweep, then the r-side sweep on the reversed
-// words bounded by the l-side minimum, on one 128-bit lane or on limbs.
-BidiPlan sweep_plan(const std::vector<Symbol>& x, const std::vector<Symbol>& y,
-                    std::uint32_t d) {
-  const int k = static_cast<int>(x.size());
-  if (!strings::packable(d, x.size(), strings::kLaneBits)) {
-    const OverlapMin l_side = strings::min_l_cost_wide(
-        strings::pack_wide(x, d), strings::pack_wide(y, d));
-    return make_bidi_plan(
-        k, l_side,
-        r_side_from_reversed(
-            k, strings::min_l_cost_wide(strings::pack_wide(x, d, true),
-                                        strings::pack_wide(y, d, true),
-                                        l_side.cost)));
-  }
-  const PackedBuf px = strings::pack_word(x, d);
-  const PackedBuf py = strings::pack_word(y, d);
-  const OverlapMin l_side = strings::min_l_cost_packed(px, py);
-  const OverlapMin r_side = r_side_from_reversed(
-      k, strings::min_l_cost_packed_bounded(strings::reverse_cells(px),
-                                            strings::reverse_cells(py),
-                                            l_side.cost));
-  return make_bidi_plan(k, l_side, r_side);
-}
-
-// The diagonal pass on (x, y): both witnesses valid (the r-side one as an
-// l-side witness of the reversed words), and the plan field by field the
-// sweep's.
-void expect_pass_plans_like_sweep(const std::vector<Symbol>& x,
-                                  const std::vector<Symbol>& y,
-                                  std::uint32_t d) {
-  SCOPED_TRACE(::testing::Message() << "x=" << ::testing::PrintToString(x)
-                                    << " y=" << ::testing::PrintToString(y));
-  const int k = static_cast<int>(x.size());
-  const strings::SideMinima pass = strings::side_minima_diagonal(x, y, d);
-  expect_valid_witness(x, y, pass.l_side);
-  expect_valid_witness(strings::reversed(x), strings::reversed(y),
-                       r_side_from_reversed(k, pass.r_side));
-  const BidiPlan want = sweep_plan(x, y, d);
-  const BidiPlan got = make_bidi_plan(k, pass.l_side, pass.r_side);
-  EXPECT_EQ(got.shape, want.shape);
-  EXPECT_EQ(got.distance, want.distance);
-  EXPECT_EQ(got.s, want.s);
-  EXPECT_EQ(got.t, want.t);
-  EXPECT_EQ(got.theta, want.theta);
-}
-
-TEST(PackedKernels, DiagonalPassPlansLikeTheOffsetSweep) {
-  // Every alphabet and length the pass takes. Random pairs; periodic
-  // pairs, whose runs reach the pass's last steps; equal words; each
-  // one-shift neighbour L_a(x) = x_2..x_k a and R_a(x) = a x_1..x_{k-1};
-  // blocks planted on the extreme diagonals c = k - 1 and c = -(k - 1);
-  // and blocks at both word ends (x's head at y's tail and the reverse).
+TEST(PackedKernels, DiagonalPassMatchesTheReference) {
+  // Every alphabet and length the pass takes, over the witness-rule
+  // families with every one-shift neighbour, plus blocks planted on the
+  // extreme diagonals c = k - 1 and c = -(k - 1) and the alternating pair
+  // whose runs reach k - 1.
   DBN_SEEDED_RNG(rng, 0xd1a9);
   for (std::uint32_t d = 1; d <= 16; ++d) {
     for (std::size_t k = 1; k <= strings::kDiagonalPassMaxK; ++k) {
       SCOPED_TRACE(::testing::Message() << "d=" << d << " k=" << k);
       ASSERT_TRUE(strings::diagonal_pass_fits(d, k));
-      const auto random = [&] { return testing::random_symbols(rng, k, d); };
-      const auto periodic = [&](std::size_t shift) {
-        const std::size_t period =
-            1 + rng.below(std::max<std::size_t>(1, k / 2));
-        const std::vector<Symbol> block =
-            testing::random_symbols(rng, period, d);
-        std::vector<Symbol> w(k);
-        for (std::size_t i = 0; i < k; ++i) {
-          w[i] = block[(i + shift) % period];
-        }
-        return w;
+      const auto check = [&](const std::vector<Symbol>& x,
+                             const std::vector<Symbol>& y) {
+        expect_pass_like_reference(x, y, d);
       };
-      for (int trial = 0; trial < 6; ++trial) {
-        expect_pass_plans_like_sweep(random(), random(), d);
-      }
-      for (int trial = 0; trial < 3; ++trial) {
-        const std::size_t shift = rng.below(k);
-        std::vector<Symbol> x = periodic(0);
-        std::vector<Symbol> y(k);
-        for (std::size_t i = 0; i < k; ++i) {
-          y[i] = x[(i + shift) % k];
-        }
-        expect_pass_plans_like_sweep(x, y, d);
-        expect_pass_plans_like_sweep(periodic(0), periodic(1), d);
-      }
+      for_each_family(rng, d, k, 6, d, check);
       if (d >= 2) {
         std::vector<Symbol> alt(k), alt_shifted(k);
         for (std::size_t i = 0; i < k; ++i) {
           alt[i] = static_cast<Symbol>(i % 2);
           alt_shifted[i] = static_cast<Symbol>((i + 1) % 2);
         }
-        expect_pass_plans_like_sweep(alt, alt_shifted, d);
-      }
-      const std::vector<Symbol> x = random();
-      expect_pass_plans_like_sweep(x, x, d);
-      for (Symbol a = 0; a < d; ++a) {
-        std::vector<Symbol> left(x.begin() + 1, x.end());
-        left.push_back(a);
-        std::vector<Symbol> right{a};
-        right.insert(right.end(), x.begin(), x.end() - 1);
-        expect_pass_plans_like_sweep(x, left, d);
-        expect_pass_plans_like_sweep(x, right, d);
-        expect_pass_plans_like_sweep(left, x, d);
+        check(alt, alt_shifted);
       }
       for (int trial = 0; trial < 2; ++trial) {
-        std::vector<Symbol> y = random();
+        const std::vector<Symbol> x = testing::random_symbols(rng, k, d);
+        std::vector<Symbol> y = testing::random_symbols(rng, k, d);
         y.back() = x.front();  // c = k - 1
-        expect_pass_plans_like_sweep(x, y, d);
-        y = random();
+        check(x, y);
+        y = testing::random_symbols(rng, k, d);
         y.front() = x.back();  // c = -(k - 1)
-        expect_pass_plans_like_sweep(x, y, d);
-        const std::size_t theta = 1 + rng.below(k);
-        y = random();
-        std::copy(x.begin(), x.begin() + static_cast<long>(theta),
-                  y.end() - static_cast<long>(theta));
-        expect_pass_plans_like_sweep(x, y, d);
-        y = random();
-        std::copy(x.end() - static_cast<long>(theta), x.end(), y.begin());
-        expect_pass_plans_like_sweep(x, y, d);
+        check(x, y);
+      }
+    }
+  }
+}
+
+TEST(PackedKernels, SeededKernelMatchesTheReference) {
+  // Every length past the pass at d = 1..16 (every cell width) and at
+  // unpacked alphabets, over the witness-rule families with up to eight
+  // one-shift neighbours: k = 45 -> 46 is where q steps from 11 to 12 at
+  // d = 2, and 64/128/256/512 end 64-bit words at one bit per digit. Past
+  // them, the first length at each cell width whose packed words leave the
+  // kernel's stack buffer for its per-thread scratch: 2,049 digits at one
+  // bit, 1,025 at two and 513 at four.
+  DBN_SEEDED_RNG(rng, 0x5eed);
+  std::vector<std::uint32_t> alphabets;
+  for (std::uint32_t d = 1; d <= 16; ++d) {
+    alphabets.push_back(d);
+  }
+  for (const std::uint32_t d : {17u, 20u, 255u}) {
+    alphabets.push_back(d);
+  }
+  const std::vector<std::size_t> lengths = {33,  45,  46,  64,  96,  128, 129,
+                                            255, 256, 257, 511, 512};
+  for (const std::uint32_t d : alphabets) {
+    for (const std::size_t k : lengths) {
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " k=" << k);
+      for_each_family(rng, d, k, k < 200 ? 4 : 1, 8,
+                      [&](const std::vector<Symbol>& x,
+                          const std::vector<Symbol>& y) {
+                        expect_seeded_like_reference(x, y, d);
+                      });
+    }
+  }
+  struct Long {
+    std::uint32_t d;
+    std::size_t k;
+  };
+  for (const Long net : {Long{2, 1024}, Long{2, 2049}, Long{4, 1025},
+                         Long{16, 513}}) {
+    SCOPED_TRACE(::testing::Message() << "d=" << net.d << " k=" << net.k);
+    for_each_family(rng, net.d, net.k, 1, 8,
+                    [&](const std::vector<Symbol>& x,
+                        const std::vector<Symbol>& y) {
+                      expect_seeded_like_reference(x, y, net.d);
+                    });
+  }
+}
+
+TEST(PackedKernels, SeededKernelOnEveryDiagonal) {
+  // A block of n/2 + 1 and of n cells on each diagonal of n cells in turn,
+  // in random words: every diagonal, however its kernel phase treats it,
+  // must yield its block. Short words too, where every diagonal is near a
+  // corner.
+  DBN_SEEDED_RNG(rng, 0xd1a6);
+  for (const std::uint32_t d : {2u, 4u, 16u, 20u}) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{5},
+                                std::size_t{33}, std::size_t{70},
+                                std::size_t{130}}) {
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " k=" << k);
+      const auto ki = static_cast<long>(k);
+      for (long c = -(ki - 1); c <= ki - 1; ++c) {
+        const long n = ki - std::abs(c);
+        for (const long theta : {n / 2 + 1, n}) {
+          const std::vector<Symbol> x = testing::random_symbols(rng, k, d);
+          std::vector<Symbol> y = testing::random_symbols(rng, k, d);
+          const long start = std::max(0L, -c) +
+                             static_cast<long>(rng.below(
+                                 static_cast<std::uint64_t>(n - theta + 1)));
+          std::copy(x.begin() + start, x.begin() + start + theta,
+                    y.begin() + start + c);
+          expect_seeded_like_reference(x, y, d);
+        }
       }
     }
   }
@@ -519,13 +575,16 @@ TEST(PackedKernels, DiagonalPassPinnedTieAndExtremeDiagonals) {
   EXPECT_EQ(tie.s, 2);
   EXPECT_EQ(tie.t, 18);
   EXPECT_EQ(tie.theta, 16);
-  expect_pass_plans_like_sweep(tx, ty, 16);
+  expect_pass_like_reference(tx, ty, 16);
+  // The seeded kernel keeps the same rule.
+  expect_seeded_like_reference(tx, ty, 16);
 }
 
 TEST(PackedKernels, DiagonalPassDispatchEdge) {
-  // k = 32 is the pass's last length and k = 33 the sweep's first, at one
-  // bit and at four bits per digit. On both sides the engine's routes are
-  // the ones the sweep's plan builds, hop for hop, in both wildcard modes.
+  // k = 32 is the pass's last length and k = 33 the seeded kernel's first,
+  // at one bit and at four bits per digit. On both sides the engine's
+  // routes are the ones the reference's plan builds, hop for hop, in both
+  // wildcard modes.
   DBN_SEEDED_RNG(rng, 0xed9e);
   BidirectionalRouteEngine engine(33);
   RoutingPath path;
@@ -541,12 +600,14 @@ TEST(PackedKernels, DiagonalPassDispatchEdge) {
           const std::vector<Symbol> y(yw.symbols().begin(),
                                       yw.symbols().end());
           if (k == 32) {
-            expect_pass_plans_like_sweep(x, y, d);
+            expect_pass_like_reference(x, y, d);
           } else {
             EXPECT_THROW(strings::side_minima_diagonal(x, y, d),
                          ContractViolation);
           }
-          const BidiPlan plan = sweep_plan(x, y, d);
+          const strings::SideMinima ref = oracle::side_minima_reference(x, y);
+          const BidiPlan plan = make_bidi_plan(static_cast<int>(k), ref.l_side,
+                                               ref.r_side);
           for (const WildcardMode mode :
                {WildcardMode::Concrete, WildcardMode::Wildcards}) {
             engine.route_into(xw, yw, mode, path);

@@ -32,11 +32,10 @@ TEST(RouteEngine, MatchesAllocatingRouterOnRandomPairs) {
 }
 
 TEST(RouteEngine, MatchesAllocatingRouterPastOneLane) {
-  // Words past one 64-bit lane: the 128-bit lane (d = 2 up to k = 128 at
-  // one bit per cell), the 4- and 8-limb lanes (d = 2 up to k = 512,
-  // d <= 4 up to k = 256, d = 16 up to k = 128), then the in-place scan
-  // just past the widest lane and for d > 16. Every word and pair family,
-  // so runs cross limb boundaries at many offsets, not only the baseline.
+  // Words past the diagonal pass, on the seeded kernel: packed words of
+  // one, two and four bits per digit across several 64-bit words, and
+  // digits read directly for d > 16. Every word and pair family, so runs
+  // cross word boundaries at many offsets, not only the baseline.
   BidirectionalRouteEngine engine(513);
   DBN_SEEDED_RNG(rng, 0x1a4e);
   RoutingPath path;
@@ -58,9 +57,7 @@ TEST(RouteEngine, MatchesAllocatingRouterPastOneLane) {
         EXPECT_EQ(path.apply(x), y) << "path=" << path.to_string();
         EXPECT_EQ(engine.distance(x, y),
                   static_cast<int>(reference.length()));
-        // The in-place scan (d > 16, or past the widest lane) and the MP
-        // router run the same Algorithm 3 code, so the suffix automaton
-        // is the independent check there.
+        // The suffix automaton is a second, independent check.
         EXPECT_EQ(engine.distance(x, y), undirected_distance(x, y));
       }
     }
@@ -78,6 +75,8 @@ TEST(RouteEngine, MatchesAllocatingRouterPastOneLane) {
   check(2, 513);
   check(16, 129);
   check(20, 6);
+  check(20, 64);
+  check(255, 40);
 }
 
 TEST(RouteEngine, ReusableAcrossDifferentLengthsAndRadixes) {
