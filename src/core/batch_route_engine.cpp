@@ -114,9 +114,16 @@ int BatchRouteEngine::compute_distance(const RouteQuery& query,
   return -1;
 }
 
-void BatchRouteEngine::route_batch_into(const std::vector<RouteQuery>& queries,
+void BatchRouteEngine::route_batch_into(std::span<const RouteQuery> queries,
                                         std::vector<RoutingPath>& out) {
   out.resize(queries.size());
+  route_batch_into(queries, std::span<RoutingPath>(out));
+}
+
+void BatchRouteEngine::route_batch_into(std::span<const RouteQuery> queries,
+                                        std::span<RoutingPath> out) {
+  DBN_REQUIRE(out.size() == queries.size(),
+              "route_batch_into needs one output path per query");
   for (const std::unique_ptr<Scratch>& scratch : scratch_) {
     scratch->lookups = 0;
     scratch->hits = 0;
@@ -190,9 +197,9 @@ std::vector<RoutingPath> BatchRouteEngine::route_batch(
   return out;
 }
 
-std::vector<int> BatchRouteEngine::distance_batch(
-    const std::vector<RouteQuery>& queries) {
-  std::vector<int> out(queries.size(), -1);
+void BatchRouteEngine::distance_batch_into(
+    std::span<const RouteQuery> queries, std::vector<int>& out) {
+  out.resize(queries.size());
   pool_->parallel_for(
       queries.size(), options_.chunk,
       [this, &queries, &out](std::size_t begin, std::size_t end,
@@ -210,6 +217,12 @@ std::vector<int> BatchRouteEngine::distance_batch(
   stats_ = BatchStats{queries.size(), 0, 0, 0, pool_->thread_count()};
   metrics_batches_.inc();
   metrics_queries_.inc(stats_.queries);
+}
+
+std::vector<int> BatchRouteEngine::distance_batch(
+    const std::vector<RouteQuery>& queries) {
+  std::vector<int> out;
+  distance_batch_into(queries, out);
   return out;
 }
 

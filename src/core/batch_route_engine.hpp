@@ -13,7 +13,9 @@
 //     BidirectionalRouteEngine (the diagonal pass up to k = 32, the seeded
 //     kernel past it) and writes paths in place, so the hot path performs
 //     no per-query allocation beyond growing the caller-visible output
-//     paths;
+//     paths; route_batch_into and distance_batch_into write into the
+//     caller's warmed paths and distances, so a caller that keeps those
+//     (the serve dispatcher) allocates nothing per batch;
 //   - two backends — Algorithm 1 (directed) and Theorem 2 through the
 //     allocation-free engine (undirected);
 //   - an optional memo keyed on (X, Y) for workloads with repeated pairs
@@ -29,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -98,13 +101,24 @@ class BatchRouteEngine {
 
   /// Routes queries[i] into out[i] (resized to match). Deterministic:
   /// independent of thread count and memo state.
-  void route_batch_into(const std::vector<RouteQuery>& queries,
+  void route_batch_into(std::span<const RouteQuery> queries,
                         std::vector<RoutingPath>& out);
+
+  /// The same into caller-sized paths (out.size() == queries.size()), such
+  /// as a prefix of a longer vector whose paths keep their hop storage
+  /// from batch to batch.
+  void route_batch_into(std::span<const RouteQuery> queries,
+                        std::span<RoutingPath> out);
 
   /// Convenience wrapper over route_batch_into.
   std::vector<RoutingPath> route_batch(const std::vector<RouteQuery>& queries);
 
-  /// Distances only (no path construction, no memo).
+  /// Distances only (no path construction, no memo) into out[i] (resized
+  /// to match, so a warmed vector is written in place).
+  void distance_batch_into(std::span<const RouteQuery> queries,
+                           std::vector<int>& out);
+
+  /// Convenience wrapper over distance_batch_into.
   std::vector<int> distance_batch(const std::vector<RouteQuery>& queries);
 
   std::uint32_t radix() const { return d_; }

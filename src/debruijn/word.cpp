@@ -81,6 +81,20 @@ void Word::right_shift_inplace(Digit a) {
   digits_.front() = a;
 }
 
+bool Word::try_assign(std::span<const std::uint8_t> digits) {
+  DBN_REQUIRE(!digits.empty(), "Word requires length k >= 1");
+  digits_.resize(digits.size());
+  bool in_range = true;
+  for (std::size_t i = 0; i < digits.size(); ++i) {
+    in_range &= digits[i] < radix_;
+    digits_[i] = digits[i];
+  }
+  if (!in_range) {
+    std::fill(digits_.begin(), digits_.end(), Digit{0});
+  }
+  return in_range;
+}
+
 Word Word::reversed() const {
   return Word(radix_, std::vector<Digit>(digits_.rbegin(), digits_.rend()));
 }

@@ -57,6 +57,13 @@ class Word {
   void left_shift_inplace(Digit a);
   void right_shift_inplace(Digit a);
 
+  /// Overwrites the digits with `digits`, one byte each, keeping the radix
+  /// and the storage (no allocation once the word has held that many).
+  /// Returns false, leaving the all-zero word of that length, when a byte
+  /// is not a digit (>= radix): validation of untrusted bytes, such as the
+  /// serve wire's, not a contract.
+  bool try_assign(std::span<const std::uint8_t> digits);
+
   /// The reversal (x_k, ..., x_1) — used by the r-side reductions.
   Word reversed() const;
 

@@ -89,14 +89,33 @@ void Histogram::observe(double value) {
   if (info_ == nullptr) {
     return;
   }
+  info_->buckets[bucket(value)].fetch_add(1, std::memory_order_relaxed);
+  atomic_add(info_->sum, value);
+}
+
+std::size_t Histogram::bucket(double value) const {
+  if (info_ == nullptr) {
+    return 0;
+  }
   // Upper-inclusive buckets: bucket i counts bounds[i-1] < v <= bounds[i];
   // the last bucket is the implicit overflow bucket (v > bounds.back()).
   const auto it =
       std::lower_bound(info_->bounds.begin(), info_->bounds.end(), value);
-  const std::size_t bucket =
-      static_cast<std::size_t>(it - info_->bounds.begin());
-  info_->buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  atomic_add(info_->sum, value);
+  return static_cast<std::size_t>(it - info_->bounds.begin());
+}
+
+void Histogram::merge(std::span<const std::uint64_t> counts, double sum) {
+  if (info_ == nullptr) {
+    return;
+  }
+  DBN_REQUIRE(counts.size() == info_->buckets.size(),
+              "histogram merge needs one count per bucket");
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] != 0) {
+      info_->buckets[i].fetch_add(counts[i], std::memory_order_relaxed);
+    }
+  }
+  atomic_add(info_->sum, sum);
 }
 
 // --- registry ---------------------------------------------------------------

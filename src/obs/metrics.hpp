@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -181,6 +182,12 @@ class Histogram {
  public:
   Histogram() = default;
   void observe(double value);
+  /// The bucket observe(value) counts `value` in (0 for an inert handle).
+  std::size_t bucket(double value) const;
+  /// Folds observations tallied elsewhere in at once, such as a batch's:
+  /// counts[i] more in bucket i and `sum` onto the sum, one atomic add per
+  /// nonzero count. counts has one entry per bound, plus the overflow one.
+  void merge(std::span<const std::uint64_t> counts, double sum);
   explicit operator bool() const { return info_ != nullptr; }
 
  private:

@@ -196,51 +196,48 @@ void encode_error_response(RequestType type, Status status, std::uint64_t id,
   end_frame(out, frame);
 }
 
-DecodedRequest decode_request(std::string_view payload) {
-  DecodedRequest result;
+DecodeError decode_request(std::string_view payload, Request& out,
+                           std::size_t max_k) {
   const auto* p = reinterpret_cast<const unsigned char*>(payload.data());
   if (payload.size() < 9) {
-    result.error = DecodeError::TruncatedHeader;
-    return result;
+    return DecodeError::TruncatedHeader;
   }
   const std::uint8_t raw_type = p[0];
-  result.request.id = get_u64(p + 1);
+  out.id = get_u64(p + 1);
   if (!known_request_type(raw_type)) {
-    result.error = DecodeError::UnknownType;
-    return result;
+    return DecodeError::UnknownType;
   }
-  result.request.type = static_cast<RequestType>(raw_type);
-  std::string_view body = payload.substr(9);
-  switch (result.request.type) {
-    case RequestType::Ping:
-    case RequestType::Stats:
-    case RequestType::Introspect:
-      if (!body.empty()) {
-        result.error = DecodeError::TrailingBytes;
-      }
-      return result;
-    case RequestType::Route:
-    case RequestType::Distance: {
-      if (body.size() < 2) {
-        result.error = DecodeError::TruncatedBody;
-        return result;
-      }
-      const auto* b = reinterpret_cast<const unsigned char*>(body.data());
-      const std::size_t k = get_u16(b);
-      if (body.size() < 2 + 2 * k) {
-        result.error = DecodeError::TruncatedBody;
-        return result;
-      }
-      if (body.size() > 2 + 2 * k) {
-        result.error = DecodeError::TrailingBytes;
-        return result;
-      }
-      result.request.x.assign(b + 2, b + 2 + k);
-      result.request.y.assign(b + 2 + k, b + 2 + 2 * k);
-      return result;
-    }
+  out.type = static_cast<RequestType>(raw_type);
+  const std::string_view body = payload.substr(9);
+  if (out.type != RequestType::Route && out.type != RequestType::Distance) {
+    out.x.clear();
+    out.y.clear();
+    return body.empty() ? DecodeError::None : DecodeError::TrailingBytes;
   }
-  result.error = DecodeError::UnknownType;
+  if (body.size() < 2) {
+    return DecodeError::TruncatedBody;
+  }
+  const auto* b = reinterpret_cast<const unsigned char*>(body.data());
+  const std::size_t k = get_u16(b);
+  if (body.size() < 2 + 2 * k) {
+    return DecodeError::TruncatedBody;
+  }
+  if (body.size() > 2 + 2 * k) {
+    return DecodeError::TrailingBytes;
+  }
+  if (k > max_k) {
+    out.x.clear();
+    out.y.clear();
+    return DecodeError::None;
+  }
+  out.x.assign(b + 2, b + 2 + k);
+  out.y.assign(b + 2 + k, b + 2 + 2 * k);
+  return DecodeError::None;
+}
+
+DecodedRequest decode_request(std::string_view payload) {
+  DecodedRequest result;
+  result.error = decode_request(payload, result.request);
   return result;
 }
 
@@ -350,15 +347,11 @@ FrameReader::Result FrameReader::next(std::string& payload) {
 
 std::optional<Word> word_from_wire(std::uint32_t d,
                                    const std::vector<std::uint8_t>& digits) {
-  std::vector<Digit> out;
-  out.reserve(digits.size());
-  for (const std::uint8_t digit : digits) {
-    if (digit >= d) {
-      return std::nullopt;
-    }
-    out.push_back(digit);
+  Word word = Word::zero(d, digits.size());
+  if (!word.try_assign(digits)) {
+    return std::nullopt;
   }
-  return Word(d, std::move(out));
+  return word;
 }
 
 }  // namespace dbn::serve

@@ -134,6 +134,15 @@ struct DecodedResponse {
   Response response;
 };
 
+/// Decodes into `out` in place, reusing its digit vectors' storage (the
+/// reader's hot path). A Route/Distance body's digits are copied only when
+/// its k is at most `max_k`, else x and y are left empty, so a reused
+/// Request never grows past max_k digits (a server answers a wrong k
+/// without reading its digits). x and y are emptied for control requests
+/// too. On an error only the id is meaningful, and only once the header
+/// parsed.
+DecodeError decode_request(std::string_view payload, Request& out,
+                           std::size_t max_k = 0xFFFF);
 DecodedRequest decode_request(std::string_view payload);
 DecodedResponse decode_response(std::string_view payload);
 
@@ -168,7 +177,8 @@ class FrameReader {
 
 /// Converts wire digits into a Word of radix d, or nullopt when any digit
 /// is out of range (wire validation, not a contract: the bytes came from
-/// the network).
+/// the network). The dispatcher loads digits into warmed words with
+/// Word::try_assign instead, which this wraps.
 std::optional<Word> word_from_wire(std::uint32_t d,
                                    const std::vector<std::uint8_t>& digits);
 

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/contract.hpp"
@@ -42,11 +43,10 @@ bool Connection::feed(std::string_view bytes) {
   }
   reader_.feed(bytes);
   const std::shared_ptr<Connection> self = shared_from_this();
-  std::string payload;
   for (;;) {
-    const FrameReader::Result next = reader_.next(payload);
+    const FrameReader::Result next = reader_.next(payload_);
     if (next != FrameReader::Result::Frame) {
-      server_->admit(admitting_);
+      server_->admit(self);
       if (next == FrameReader::Result::NeedMore) {
         return true;
       }
@@ -54,31 +54,33 @@ bool Connection::feed(std::string_view bytes) {
       server_->note_protocol_error();
       return false;
     }
-    DecodedRequest decoded = decode_request(payload);
-    if (decoded.error != DecodeError::None) {
+    if (admitting_count_ == admitting_.size()) {
+      admitting_.emplace_back();
+    }
+    Decoded& decoded = admitting_[admitting_count_];
+    Request& request = decoded.request;
+    const DecodeError error =
+        decode_request(payload_, request, server_->config_.k);
+    if (error != DecodeError::None) {
       // Frame-aligned but undecodable: the stream itself is still sound,
       // so answer BadRequest and keep the connection. The id is only
       // trustworthy when the header parsed.
       const std::uint64_t id =
-          decoded.error == DecodeError::TruncatedHeader ? 0
-                                                        : decoded.request.id;
-      server_->reject_undecodable(self, id, decode_error_name(decoded.error));
+          error == DecodeError::TruncatedHeader ? 0 : request.id;
+      server_->reject_undecodable(*this, id, decode_error_name(error));
       continue;
     }
-    Request& request = decoded.request;
     if (request.type != RequestType::Route &&
         request.type != RequestType::Distance) {
       // The routed requests decoded before a control request are admitted
       // first, so an Introspect probe counts them.
-      server_->admit(admitting_);
-      server_->answer_control(self, request);
+      server_->admit(self);
+      server_->answer_control(*this, request);
       continue;
     }
-    obs::Span span = server_->request_span(*this, request);
-    admitting_.push_back(
-        Pending{self, std::move(request), {}, std::move(span)});
-    if (admitting_.size() == server_->config_.max_batch) {
-      server_->admit(admitting_);
+    server_->begin_request_span(*this, request, decoded.span);
+    if (++admitting_count_ == server_->config_.max_batch) {
+      server_->admit(self);
     }
   }
 }
@@ -120,13 +122,16 @@ RouteServer::RouteServer(const ServeConfig& config)
                                 .trace_routes = false}),
       sampler_(config.trace_sample, config.trace_seed),
       slow_log_(config.slow_us, config.slow_log_capacity),
-      started_(std::chrono::steady_clock::now()) {
+      started_(std::chrono::steady_clock::now()),
+      ring_size_(config.queue_capacity + config.max_batch) {
   DBN_REQUIRE(config_.d >= 1 && config_.d <= kMaxWireRadix,
               "serve wire digits are one byte; d must be in [1, 255]");
   DBN_REQUIRE(config_.k >= 1 && config_.k <= 0xFFFF,
               "serve wire k is 16-bit");
   DBN_REQUIRE(config_.queue_capacity >= 1, "queue capacity must be >= 1");
   DBN_REQUIRE(config_.max_batch >= 1, "max batch must be >= 1");
+  DBN_REQUIRE(ring_size_ > config_.queue_capacity,
+              "queue capacity + max batch must fit in size_t");
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   metrics_requests_ = registry.counter("serve.requests");
   metrics_ok_ = registry.counter("serve.responses_ok");
@@ -199,7 +204,7 @@ ServeStats RouteServer::stats() const {
 
 std::size_t RouteServer::queue_depth() const {
   const MutexLock lock(mutex_);
-  return queue_.size();
+  return queued_;
 }
 
 IntrospectSnapshot RouteServer::introspect() const {
@@ -207,7 +212,7 @@ IntrospectSnapshot RouteServer::introspect() const {
   {
     const MutexLock lock(mutex_);
     snap.stats = stats_;
-    snap.queue_depth = queue_.size();
+    snap.queue_depth = queued_;
     snap.inflight = inflight_;
   }
   snap.uptime_us = elapsed_us(started_, std::chrono::steady_clock::now());
@@ -245,8 +250,7 @@ void RouteServer::encode_error(RequestType type, std::uint64_t id,
   encode_error_response(type, status, id, message, out);
 }
 
-void RouteServer::reject_undecodable(const std::shared_ptr<Connection>& conn,
-                                     std::uint64_t id,
+void RouteServer::reject_undecodable(Connection& conn, std::uint64_t id,
                                      std::string_view message) {
   {
     const MutexLock lock(mutex_);
@@ -254,14 +258,14 @@ void RouteServer::reject_undecodable(const std::shared_ptr<Connection>& conn,
     ++stats_.rejected_undecodable;
   }
   metrics_bad_request_.inc();
-  std::string frame;
-  encode_error(RequestType::Ping, id, Status::BadRequest, message, frame);
-  conn->send(frame, 1);
+  conn.replies_.clear();
+  encode_error(RequestType::Ping, id, Status::BadRequest, message,
+               conn.replies_);
+  conn.send(conn.replies_, 1);
 }
 
-void RouteServer::answer_control(const std::shared_ptr<Connection>& conn,
-                                 const Request& request) {
-  conn->requests_.fetch_add(1, std::memory_order_relaxed);
+void RouteServer::answer_control(Connection& conn, const Request& request) {
+  conn.requests_.fetch_add(1, std::memory_order_relaxed);
   metrics_requests_.inc();
   // Control requests answer inline on the reader thread — the probe path
   // stays responsive no matter how deep the routed queue is. The
@@ -274,9 +278,9 @@ void RouteServer::answer_control(const std::shared_ptr<Connection>& conn,
   } else if (request.type == RequestType::Introspect) {
     body = introspect_json(*this);
   }
-  std::string frame;
-  encode_ok_response(request.type, request.id, body, frame);
-  conn->send(frame, 1);
+  conn.replies_.clear();
+  encode_ok_response(request.type, request.id, body, conn.replies_);
+  conn.send(conn.replies_, 1);
   {
     const MutexLock lock(mutex_);
     ++stats_.requests;
@@ -285,9 +289,9 @@ void RouteServer::answer_control(const std::shared_ptr<Connection>& conn,
   metrics_ok_.inc();
 }
 
-obs::Span RouteServer::request_span(const Connection& conn,
-                                    const Request& request) const {
-  obs::Span span;
+void RouteServer::begin_request_span(const Connection& conn,
+                                     const Request& request,
+                                     obs::Span& span) const {
   if (obs::tracing_enabled() && sampler_.sampled(request.id)) {
     span = obs::Span::begin("serve_request", "serve", obs::TraceClock::Wall,
                             obs::wall_ts_micros());
@@ -298,94 +302,108 @@ obs::Span RouteServer::request_span(const Connection& conn,
                                    : "distance"));
     span.instant("admit", obs::wall_ts_micros());
   }
-  return span;
 }
 
-void RouteServer::admit(std::vector<Pending>& admitting) {
-  if (admitting.empty()) {
+void RouteServer::admit(const std::shared_ptr<Connection>& conn_ref) {
+  Connection& conn = *conn_ref;
+  const std::size_t count = std::exchange(conn.admitting_count_, 0);
+  if (count == 0) {
     return;
   }
-  Connection& conn = *admitting.front().conn;
-  conn.requests_.fetch_add(admitting.size(), std::memory_order_relaxed);
-  metrics_requests_.inc(admitting.size());
+  const std::span<Connection::Decoded> admitting(conn.admitting_.data(),
+                                                 count);
+  conn.requests_.fetch_add(count, std::memory_order_relaxed);
+  metrics_requests_.inc(count);
   // Admission happens under the queue mutex so each request's draining
-  // check, its push and the counter movement are one atomic transition —
-  // an admitted request is always answered, and any locked reader sees
-  // requests == answered + queued + inflight balance. The checks run per
-  // request, in order; the draining flag cannot change and the queue
-  // cannot shrink during the hold, so the first refusal refuses the rest.
+  // check, its copy into a slot and the counter movement are one atomic
+  // transition — an admitted request is always answered, and any locked
+  // reader sees requests == answered + queued + inflight balance. The
+  // checks run per request, in order; the draining flag cannot change and
+  // the queue cannot shrink during the hold, so the first refusal refuses
+  // the rest.
   std::size_t accepted = 0;
   bool draining = false;
   {
     const MutexLock lock(mutex_);
     draining = draining_.load(std::memory_order_relaxed);
     const auto enqueued = std::chrono::steady_clock::now();
-    for (Pending& pending : admitting) {
-      if (draining || queue_.size() >= config_.queue_capacity) {
+    for (Connection::Decoded& decoded : admitting) {
+      if (draining || queued_ >= config_.queue_capacity) {
         break;
       }
-      pending.enqueued = enqueued;
-      queue_.push_back(std::move(pending));
+      std::size_t at = head_ + queued_;
+      at -= at >= ring_size_ ? ring_size_ : 0;
+      if (at == slots_.size()) {
+        slots_.emplace_back();  // first use of this ring position
+      }
+      Slot& slot = slots_[at];
+      slot.conn = conn_ref;
+      slot.request = decoded.request;  // copies into the slot's storage
+      slot.enqueued = enqueued;
+      if (decoded.span) {
+        slot.span = std::move(decoded.span);
+      }
+      ++queued_;
       ++accepted;
     }
-    stats_.requests += admitting.size();
+    stats_.requests += count;
     (draining ? stats_.rejected_draining : stats_.rejected_overload) +=
-        admitting.size() - accepted;
-    metrics_queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
+        count - accepted;
+    metrics_queue_depth_.set(static_cast<std::int64_t>(queued_));
   }
   if (accepted > 0) {
     queue_cv_.notify_one();
   }
-  const std::size_t refused = admitting.size() - accepted;
+  const std::size_t refused = count - accepted;
   if (refused > 0) {
     const Status status = draining ? Status::Draining : Status::Overloaded;
     const std::string_view message =
         draining ? "server is draining" : "request queue full";
     (draining ? metrics_draining_ : metrics_overload_).inc(refused);
-    std::string frames;
-    for (std::size_t i = accepted; i < admitting.size(); ++i) {
-      Pending& pending = admitting[i];
-      if (pending.span) {
-        pending.span.arg(obs::targ("status", status_name(status)));
-        pending.span.end(obs::wall_ts_micros());
+    conn.replies_.clear();
+    for (Connection::Decoded& decoded : admitting.subspan(accepted)) {
+      if (decoded.span) {
+        decoded.span.arg(obs::targ("status", status_name(status)));
+        decoded.span.end(obs::wall_ts_micros());
       }
-      encode_error(pending.request.type, pending.request.id, status, message,
-                   frames);
+      encode_error(decoded.request.type, decoded.request.id, status, message,
+                   conn.replies_);
     }
-    conn.send(frames, refused);
+    conn.send(conn.replies_, refused);
   }
-  admitting.clear();
 }
 
 void RouteServer::dispatcher_main() {
-  std::vector<Pending> batch;
   BatchScratch scratch;
+  scratch.latency_counts.assign(latency_bounds_us().size() + 1, 0);
   for (;;) {
-    batch.clear();
+    scratch.batch.clear();
     {
       RelockableLock lock(mutex_);
       // Explicit wait loop (not the predicate overload): the analysis
       // checks this function's body with mutex_ held, which a predicate
       // lambda would need its own REQUIRES annotation to express.
-      while (queue_.empty() && !draining_.load(std::memory_order_relaxed)) {
+      while (queued_ == 0 && !draining_.load(std::memory_order_relaxed)) {
         queue_cv_.wait(lock);
       }
-      if (queue_.empty()) {
+      if (queued_ == 0) {
         return;  // draining and nothing left: exit
       }
-      while (!queue_.empty() && batch.size() < config_.max_batch) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+      const std::size_t n = std::min(queued_, config_.max_batch);
+      for (std::size_t i = 0; i < n; ++i) {
+        scratch.batch.push_back(&slots_[head_]);
+        head_ = head_ + 1 == ring_size_ ? 0 : head_ + 1;
       }
-      inflight_ += batch.size();
-      metrics_queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
+      queued_ -= n;
+      inflight_ += n;
+      metrics_queue_depth_.set(static_cast<std::int64_t>(queued_));
     }
-    process_batch(batch, scratch);
+    process_batch(scratch);
   }
 }
 
-void RouteServer::process_batch(std::vector<Pending>& batch,
-                                BatchScratch& scratch) {
+void RouteServer::process_batch(BatchScratch& scratch) {
+  const std::vector<Slot*>& batch = scratch.batch;
   const bool traced = obs::tracing_enabled();
   const auto dispatched = std::chrono::steady_clock::now();
   obs::Span span;
@@ -394,47 +412,56 @@ void RouteServer::process_batch(std::vector<Pending>& batch,
     span = obs::Span::begin("serve_batch", "serve", obs::TraceClock::Wall,
                             now_us);
     span.arg(obs::targ("size", static_cast<std::uint64_t>(batch.size())));
-    for (Pending& pending : batch) {
-      if (pending.span) {
-        pending.span.instant("dispatch", now_us);
+    for (Slot* slot : batch) {
+      if (slot->span) {
+        slot->span.instant("dispatch", now_us);
       }
     }
   }
-  // Wire-validate and move the words into the engine's two batch shapes.
-  // slot_of[i] is request i's index in its shape; -1 marks a request
-  // answered as BadRequest below.
-  scratch.route_queries.clear();
-  scratch.distance_queries.clear();
+  // Wire-validate each request's digits in the pass that loads them into
+  // the words of the engine's two batch shapes. slot_of[i] is request i's
+  // index in its shape; -1 marks a request answered as BadRequest below.
+  std::size_t routes = 0;
+  std::size_t distances = 0;
   scratch.slot_of.assign(batch.size(), -1);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Request& request = batch[i].request;
+    const Request& request = batch[i]->request;
     if (request.x.size() != config_.k || request.y.size() != config_.k) {
       continue;
     }
-    std::optional<Word> x = word_from_wire(config_.d, request.x);
-    std::optional<Word> y = word_from_wire(config_.d, request.y);
-    if (!x || !y) {
-      continue;
+    const bool route = request.type == RequestType::Route;
+    std::vector<RouteQuery>& shape =
+        route ? scratch.route_queries : scratch.distance_queries;
+    std::size_t& used = route ? routes : distances;
+    if (used == shape.size()) {
+      shape.push_back(RouteQuery{Word::zero(config_.d, config_.k),
+                                 Word::zero(config_.d, config_.k)});
     }
-    std::vector<RouteQuery>& shape = request.type == RequestType::Route
-                                         ? scratch.route_queries
-                                         : scratch.distance_queries;
-    scratch.slot_of[i] = static_cast<int>(shape.size());
-    shape.push_back(RouteQuery{std::move(*x), std::move(*y)});
+    RouteQuery& query = shape[used];
+    if (query.x.try_assign(request.x) && query.y.try_assign(request.y)) {
+      scratch.slot_of[i] = static_cast<int>(used++);
+    }
   }
-  if (!scratch.route_queries.empty()) {
-    engine_.route_batch_into(scratch.route_queries, scratch.paths);
+  if (routes > 0) {
+    if (scratch.paths.size() < routes) {
+      scratch.paths.resize(routes);
+    }
+    engine_.route_batch_into(
+        std::span<const RouteQuery>(scratch.route_queries).first(routes),
+        std::span<RoutingPath>(scratch.paths).first(routes));
   }
-  if (!scratch.distance_queries.empty()) {
-    scratch.distances = engine_.distance_batch(scratch.distance_queries);
+  if (distances > 0) {
+    engine_.distance_batch_into(
+        std::span<const RouteQuery>(scratch.distance_queries).first(distances),
+        scratch.distances);
   }
   const auto routed = std::chrono::steady_clock::now();
   const double route_us = elapsed_us(dispatched, routed);
   if (traced) {
     const double now_us = obs::wall_ts_micros();
-    for (Pending& pending : batch) {
-      if (pending.span) {
-        pending.span.instant("route", now_us);
+    for (Slot* slot : batch) {
+      if (slot->span) {
+        slot->span.instant("route", now_us);
       }
     }
   }
@@ -444,8 +471,8 @@ void RouteServer::process_batch(std::vector<Pending>& batch,
   std::uint64_t n_bad = 0;
   scratch.writers.clear();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Request& request = batch[i].request;
-    Connection& conn = *batch[i].conn;
+    const Request& request = batch[i]->request;
+    Connection& conn = *batch[i]->conn;
     if (conn.outbound_frames_++ == 0) {
       scratch.writers.push_back(&conn);
     }
@@ -455,12 +482,12 @@ void RouteServer::process_batch(std::vector<Pending>& batch,
                    "word does not name a vertex", conn.outbound_);
       continue;
     }
-    const auto slot = static_cast<std::size_t>(scratch.slot_of[i]);
+    const auto at = static_cast<std::size_t>(scratch.slot_of[i]);
     if (request.type == RequestType::Route) {
-      encode_route_response(request.id, scratch.paths[slot], conn.outbound_);
+      encode_route_response(request.id, scratch.paths[at], conn.outbound_);
     } else {
       encode_distance_response(
-          request.id, static_cast<std::uint32_t>(scratch.distances[slot]),
+          request.id, static_cast<std::uint32_t>(scratch.distances[at]),
           conn.outbound_);
     }
   }
@@ -473,34 +500,43 @@ void RouteServer::process_batch(std::vector<Pending>& batch,
   }
   // Each latency stops when its connection's write returned, so it covers
   // encoding and the write (a client that stalls its socket shows here).
+  // The histogram takes the whole batch at once; each slot is released
+  // here, its connection reference dropped before the closing lock hold.
   std::uint64_t n_slow = 0;
+  double latency_sum_us = 0.0;
+  const bool slow_log = slow_log_.threshold_us() > 0.0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    Pending& pending = batch[i];
-    const Connection& conn = *pending.conn;
-    const Request& request = pending.request;
-    const double waited_us = elapsed_us(pending.enqueued, conn.written_);
-    metrics_latency_us_.observe(waited_us);
-    if (slow_log_.note(SlowRecord{request.id, conn.id(), request.type,
+    Slot& slot = *batch[i];
+    const Connection& conn = *slot.conn;
+    const Request& request = slot.request;
+    const double waited_us = elapsed_us(slot.enqueued, conn.written_);
+    ++scratch.latency_counts[metrics_latency_us_.bucket(waited_us)];
+    latency_sum_us += waited_us;
+    if (slow_log &&
+        slow_log_.note(SlowRecord{request.id, conn.id(), request.type,
                                   waited_us,
-                                  elapsed_us(pending.enqueued, dispatched),
+                                  elapsed_us(slot.enqueued, dispatched),
                                   route_us, batch.size()})) {
       ++n_slow;
       metrics_slow_.inc();
-      if (pending.span) {
-        pending.span.instant("slow", conn.written_us_);
+      if (slot.span) {
+        slot.span.instant("slow", conn.written_us_);
       }
     }
-    if (pending.span) {
+    if (slot.span) {
       const bool bad = scratch.slot_of[i] < 0;
-      pending.span.instant("respond", conn.written_us_);
-      pending.span.arg(obs::targ(
+      slot.span.instant("respond", conn.written_us_);
+      slot.span.arg(obs::targ(
           "status", status_name(bad ? Status::BadRequest : Status::Ok)));
-      pending.span.arg(obs::targ("latency_us", waited_us));
-      pending.span.arg(
+      slot.span.arg(obs::targ("latency_us", waited_us));
+      slot.span.arg(
           obs::targ("batch", static_cast<std::uint64_t>(batch.size())));
-      pending.span.end(conn.written_us_);
+      slot.span.end(conn.written_us_);
     }
+    slot.conn.reset();
   }
+  metrics_latency_us_.merge(scratch.latency_counts, latency_sum_us);
+  std::fill(scratch.latency_counts.begin(), scratch.latency_counts.end(), 0);
   const std::uint64_t n_ok = batch.size() - n_bad;
   {
     const MutexLock lock(mutex_);

@@ -4,16 +4,17 @@
 // BidirectionalRouteEngine arenas and memos) and turns it from a batch
 // API into a daemon:
 //
-//   reader threads ──feed()──> bounded request queue ──> dispatcher thread
-//   (one lock hold per up to                                │ micro-batches
-//    max_batch requests)                                    ▼
-//                                                   BatchRouteEngine
-//                                                           │ answers, in
-//                                                           ▼ admission order
-//                                       per-connection outbound buffers
-//                                                           │ one write
-//                                                           ▼ per batch
-//                                              per-connection sinks
+//   reader threads ──feed()──> ring of reusable ──> dispatcher thread
+//   (decode in place; one       request slots       │ micro-batches of
+//    lock hold per up to                            │ slot pointers; digits
+//    max_batch requests)                            ▼ loaded into kept words
+//                                           BatchRouteEngine
+//                                                   │ answers, in
+//                                                   ▼ admission order
+//                                   per-connection outbound buffers
+//                                                   │ one write
+//                                                   ▼ per batch
+//                                          per-connection sinks
 //
 // Transport is someone else's job: a Connection is created per client with
 // a ResponseSink callback, raw bytes are pushed in with feed(), and
@@ -24,10 +25,13 @@
 // Backpressure is explicit and bounded: the request queue holds at most
 // `queue_capacity` entries; when it is full, feed() answers Overloaded
 // immediately instead of queueing — memory use is bounded no matter how
-// fast clients push. Graceful drain (SIGTERM, stdin EOF): begin_drain()
-// stops admission (new work answers Draining), the dispatcher finishes
-// everything already queued, then wait_drained() returns. Every admitted
-// request is answered exactly once.
+// fast clients push. Once warmed, a served request allocates nothing: the
+// reader decodes into reused entries, admission copies each request into
+// a reused queue slot, and the dispatcher keeps its words, paths and
+// buffers from batch to batch. Graceful drain (SIGTERM, stdin EOF):
+// begin_drain() stops admission (new work answers Draining), the
+// dispatcher finishes everything already queued, then wait_drained()
+// returns. Every admitted request is answered exactly once.
 #pragma once
 
 #include <atomic>
@@ -142,12 +146,12 @@ class Connection : public std::enable_shared_from_this<Connection> {
   Connection(RouteServer* server, std::uint64_t id, ResponseSink sink)
       : server_(server), id_(id), sink_(std::move(sink)) {}
 
-  /// A routed request on its way to, or in, the server's queue. It holds
-  /// its connection, so a Connection outlives its unanswered requests.
-  struct Pending {
-    std::shared_ptr<Connection> conn;
+  /// A routed request feed() decoded and has not yet admitted. Entries are
+  /// reused from read to read, so their digit vectors keep their capacity.
+  /// They hold no reference to this connection: a kept one would be a
+  /// cycle, and the connection would never be freed nor reaped.
+  struct Decoded {
     Request request;
-    std::chrono::steady_clock::time_point enqueued;
     obs::Span span;  // live only for sampled requests under tracing
   };
 
@@ -158,10 +162,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
   const std::uint64_t id_;
   FrameReader reader_;
   bool failed_ = false;
-  // Reader-thread only: the routed requests feed() decoded and has not yet
-  // admitted. Empty whenever feed() returns (its entries hold this
-  // connection, and serve_tcp reaps a client only once nothing else does).
-  std::vector<Pending> admitting_;
+  // Reader-thread only: the payload being decoded; the decoded routed
+  // requests not yet admitted, admitting_[0, admitting_count_) (zero
+  // whenever feed() returns); and the frames answered on this thread
+  // (refusals, undecodable frames, control requests).
+  std::string payload_;
+  std::vector<Decoded> admitting_;
+  std::size_t admitting_count_ = 0;
+  std::string replies_;
   // Dispatcher-thread only: the current batch's answers for this
   // connection, and when their one write returned (steady and trace
   // clocks), which is when their latency stops.
@@ -227,30 +235,42 @@ class RouteServer {
 
  private:
   friend class Connection;
-  using Pending = Connection::Pending;
 
-  // Dispatcher-thread scratch, reused across micro-batches: the decoded
-  // words move into the engine's two batch shapes, and `writers` lists the
-  // connections this batch answers, in the order of their first answer.
+  /// One position of the request ring. It holds its connection, so a
+  /// Connection outlives its unanswered requests; its digit vectors keep
+  /// their capacity from one request to the next.
+  struct Slot {
+    std::shared_ptr<Connection> conn;
+    Request request;
+    std::chrono::steady_clock::time_point enqueued;
+    obs::Span span;  // live only for sampled requests under tracing
+  };
+
+  // Dispatcher-thread scratch, kept across micro-batches: the batch's
+  // slots; the engine's two batch shapes, whose first entries hold this
+  // batch's words (they only grow, so their words keep their storage);
+  // the paths and distances; and `writers`, the connections this batch
+  // answers in the order of their first answer.
   struct BatchScratch {
+    std::vector<Slot*> batch;
     std::vector<RouteQuery> route_queries;
     std::vector<RouteQuery> distance_queries;
     std::vector<int> slot_of;
     std::vector<RoutingPath> paths;
     std::vector<int> distances;
     std::vector<Connection*> writers;
+    std::vector<std::uint64_t> latency_counts;  // serve.latency_us buckets
   };
 
-  /// A span for a routed request when tracing samples it, else an empty one.
-  obs::Span request_span(const Connection& conn,
-                         const Request& request) const;
-  /// Admits one connection's decoded routed requests in order, under one
+  /// Begins `span` for a routed request when tracing samples it.
+  void begin_request_span(const Connection& conn, const Request& request,
+                          obs::Span& span) const;
+  /// Admits the connection's decoded routed requests in order, under one
   /// queue-lock hold, then answers those it refused (Overloaded/Draining)
-  /// in one write. Leaves `admitting` empty.
-  void admit(std::vector<Pending>& admitting);
+  /// in one write. Leaves none decoded.
+  void admit(const std::shared_ptr<Connection>& conn);
   /// Answers a Ping/Stats/Introspect inline on the reader thread.
-  void answer_control(const std::shared_ptr<Connection>& conn,
-                      const Request& request);
+  void answer_control(Connection& conn, const Request& request);
   /// Appends one error frame to `out` and marks it in the trace (no
   /// counting: every counter commits at its decision site under mutex_,
   /// keeping snapshots exact).
@@ -258,13 +278,13 @@ class RouteServer {
                            std::string_view message, std::string& out);
   /// The undecodable-frame path out of Connection::feed (counts the
   /// BadRequest answer without counting a request).
-  void reject_undecodable(const std::shared_ptr<Connection>& conn,
-                          std::uint64_t id, std::string_view message);
+  void reject_undecodable(Connection& conn, std::uint64_t id,
+                          std::string_view message);
   /// First close() of a connection: folds its lifetime request count into
   /// the serve.conn.* metrics.
   void note_connection_closed(const Connection& conn);
   void dispatcher_main();
-  void process_batch(std::vector<Pending>& batch, BatchScratch& scratch);
+  void process_batch(BatchScratch& scratch);
   void note_protocol_error();
 
   ServeConfig config_;
@@ -275,7 +295,19 @@ class RouteServer {
 
   mutable Mutex mutex_;
   CondVar queue_cv_;
-  std::deque<Pending> queue_ DBN_GUARDED_BY(mutex_);
+  // The request queue: a ring of queue_capacity + max_batch reusable
+  // slots, queued ones at ring positions [head_, head_ + queued_). Slots
+  // live in a deque used as stable storage, not as a FIFO: it grows by one
+  // the first time a ring position is used and never shrinks, and a deque
+  // never moves its elements. Handoff: a reader writes a slot under
+  // mutex_; the dispatcher pops slot pointers under mutex_ and owns those
+  // slots, outside the lock, until the batch's closing lock hold. The ring
+  // never reaches them before then, since at most queue_capacity slots are
+  // queued while at most max_batch are in flight.
+  std::deque<Slot> slots_ DBN_GUARDED_BY(mutex_);
+  const std::size_t ring_size_;
+  std::size_t head_ DBN_GUARDED_BY(mutex_) = 0;
+  std::size_t queued_ DBN_GUARDED_BY(mutex_) = 0;
   std::atomic<bool> draining_{false};
   std::once_flag join_once_;
 

@@ -20,6 +20,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "oracle/routers.hpp"
+#include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "testing_util.hpp"
 #include "testkit/conformance.hpp"
 
@@ -568,6 +570,133 @@ TEST(Trace, WarmedBatchEngineDoesNotAllocate) {
           << label << ": query " << i;
     }
   }
+}
+
+// A warmed RouteServer answers routed requests without allocating, on any
+// thread, from Connection::feed through admission, the queue, the
+// dispatcher and the engine to the sink: the reader decodes into reused
+// entries, admission copies each request into a reused ring slot, and the
+// dispatcher loads the digits into words it keeps, routes into paths it
+// keeps and encodes into buffers it keeps. Warm-up takes each of those to
+// its high-water mark: a read of 256 longest routes (0^16 to 1^16, 16
+// hops), a read of 256 distances, valid mixed reads until every ring slot
+// has held a request, and two reads with bad words. Each measured read is
+// one batch of 256 frames, 75/25 Route/Distance with one wrong-k frame and
+// one with an out-of-range digit, and the sink writes into storage
+// reserved beforehand.
+TEST(Trace, WarmedServerAnswersWithoutAllocating) {
+  ASSERT_FALSE(obs::tracing_enabled());
+  serve::ServeConfig config;
+  config.d = 2;
+  config.k = 16;
+  ASSERT_EQ(config.max_batch, 256u);
+  serve::RouteServer server(config);
+  std::string received;
+  received.reserve(std::size_t{1} << 22);
+  const std::shared_ptr<serve::Connection> conn = server.connect(
+      [&received](std::string_view frames) { received.append(frames); });
+
+  constexpr std::size_t kFrames = 256;
+  Rng rng(2026);
+  std::uint64_t next_id = 0;
+  const auto word = [&](std::uint32_t d, std::size_t k) {
+    return dbn::testing::random_word(rng, d, k);
+  };
+  const auto mixed_read = [&](bool with_bad_words) {
+    std::string read;
+    const std::size_t wrong_k = with_bad_words ? rng.below(kFrames) : kFrames;
+    const std::size_t bad_digit =
+        with_bad_words ? (wrong_k + 1 + rng.below(kFrames - 1)) % kFrames
+                       : kFrames;
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      const std::uint64_t id = next_id++;
+      if (i == wrong_k) {
+        serve::encode_route_request(id, word(2, 17), word(2, 17), read);
+      } else if (i == bad_digit) {
+        // Binary words over a radix-3 alphabet, one x digit out of range.
+        std::vector<Digit> x(16);
+        std::vector<Digit> y(16);
+        for (std::size_t j = 0; j < 16; ++j) {
+          x[j] = static_cast<Digit>(rng.below(2));
+          y[j] = static_cast<Digit>(rng.below(2));
+        }
+        x[rng.below(16)] = 2;
+        serve::encode_distance_request(id, Word(3, std::move(x)),
+                                       Word(3, std::move(y)), read);
+      } else if (rng.below(4) == 0) {
+        serve::encode_distance_request(id, word(2, 16), word(2, 16), read);
+      } else {
+        serve::encode_route_request(id, word(2, 16), word(2, 16), read);
+      }
+    }
+    return read;
+  };
+  std::vector<std::string> warm(2);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    serve::encode_route_request(next_id++, Word::zero(2, 16),
+                                Word(2, std::vector<Digit>(16, 1)), warm[0]);
+  }
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    serve::encode_distance_request(next_id++, word(2, 16), word(2, 16),
+                                   warm[1]);
+  }
+  // Once around the ring with valid words (a slot that has only held a
+  // wrong k has no digit storage yet), then the bad-word paths.
+  const std::size_t ring_reads =
+      (config.queue_capacity + config.max_batch) / kFrames;
+  while (warm.size() < ring_reads) {
+    warm.push_back(mixed_read(false));
+  }
+  for (int i = 0; i < 2; ++i) {
+    warm.push_back(mixed_read(true));
+  }
+  std::vector<std::string> measured;
+  for (int i = 0; i < 16; ++i) {
+    measured.push_back(mixed_read(true));
+  }
+
+  std::uint64_t batches = 0;
+  bool fed = true;
+  const auto serve_read = [&](const std::string& read) {
+    fed = conn->feed(read) && fed;
+    ++batches;
+    while (server.stats().batches < batches) {
+      std::this_thread::yield();
+    }
+  };
+  for (const std::string& read : warm) {
+    serve_read(read);
+  }
+  const std::size_t warm_bytes = received.size();
+  std::uint64_t allocations = 0;
+  {
+    AllocationWindow window;
+    for (const std::string& read : measured) {
+      serve_read(read);
+    }
+    allocations = window.count();
+  }
+  ASSERT_TRUE(fed);
+  EXPECT_EQ(allocations, 0u)
+      << static_cast<double>(allocations) /
+             static_cast<double>(measured.size() * kFrames)
+      << " allocations per served request";
+  // Allocation-free must not mean wrong: one answer per frame, in order,
+  // two of them BadRequest per mixed read.
+  const serve::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.rejected_bad_request, 2 * (2 + measured.size()));
+  EXPECT_EQ(stats.responses_ok + stats.rejected_bad_request, next_id);
+  serve::FrameReader reader;
+  reader.feed(std::string_view(received).substr(warm_bytes));
+  std::string payload;
+  std::uint64_t id = warm.size() * kFrames;
+  while (reader.next(payload) == serve::FrameReader::Result::Frame) {
+    const serve::DecodedResponse decoded = serve::decode_response(payload);
+    ASSERT_EQ(decoded.error, serve::DecodeError::None);
+    EXPECT_EQ(decoded.response.id, id++);
+  }
+  EXPECT_EQ(id, next_id);
+  server.wait_drained();
 }
 
 TEST(Trace, LaneScopeOverridesAndRestores) {

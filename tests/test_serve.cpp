@@ -2,8 +2,9 @@
 // every malformed-frame class), RouteServer request handling against the
 // reference routers, bounded-queue backpressure, drain semantics, and a
 // seeded concurrent-client determinism check (same seed, same per-client
-// response bytes, run twice), one write per connection per batch, and the
-// TCP transport's reaping of clients that disconnect or break framing.
+// response bytes, run twice), one write per connection per batch, seeded
+// schedules of mixed frames, probes, overload, drain and disconnects, and
+// the TCP transport's reaping of clients that disconnect or break framing.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -11,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -28,8 +30,10 @@
 #include "common/rng.hpp"
 #include "core/distance.hpp"
 #include "core/path.hpp"
+#include "core/route_engine.hpp"
 #include "core/routers.hpp"
 #include "debruijn/word.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/io.hpp"
 #include "serve/protocol.hpp"
@@ -604,6 +608,357 @@ TEST(ServeServer, CloseDiscardsResponsesButKeepsAccountingExact) {
   client.conn->close();  // peer hangs up with requests in flight
   server.wait_drained();
   EXPECT_EQ(server.stats().responses_ok, 100u);
+}
+
+// --- seeded schedules -------------------------------------------------------
+
+/// The ServeStats identity (see server.hpp) over one accounting cut.
+void expect_identity(const ServeStats& s, std::uint64_t queue_depth,
+                     std::uint64_t inflight, const char* when) {
+  EXPECT_EQ(s.requests, s.responses_ok + s.rejected_overload +
+                            s.rejected_draining +
+                            (s.rejected_bad_request - s.rejected_undecodable) +
+                            queue_depth + inflight)
+      << when;
+}
+
+/// Appends a frame around a raw payload of type byte, u64 id and `body`.
+void append_raw_frame(std::uint8_t type, std::uint64_t id,
+                      std::string_view body, std::string& out) {
+  const auto length = static_cast<std::uint32_t>(9 + body.size());
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<char>((length >> shift) & 0xFF));
+  }
+  out.push_back(static_cast<char>(type));
+  for (int shift = 0; shift < 64; shift += 8) {
+    out.push_back(static_cast<char>((id >> shift) & 0xFF));
+  }
+  out.append(body);
+}
+
+/// A Route/Distance body carrying the given digit bytes (any length, any
+/// values: the wire only bounds k by 16 bits).
+std::string pair_body(const std::vector<std::uint8_t>& x,
+                      const std::vector<std::uint8_t>& y) {
+  std::string body;
+  body.push_back(static_cast<char>(x.size() & 0xFF));
+  body.push_back(static_cast<char>(x.size() >> 8));
+  body.append(x.begin(), x.end());
+  body.append(y.begin(), y.end());
+  return body;
+}
+
+enum class FrameKind { Route, Distance, BadWord, Undecodable, Introspect };
+
+/// One frame of a scheduled stream, and what its answer must show.
+struct ScheduledFrame {
+  FrameKind kind = FrameKind::Route;
+  std::uint64_t id = 0;  // its index in the stream, plus one
+  Word x{1, {0}};
+  Word y{1, {0}};
+  std::size_t end = 0;                 // offset one past its last byte
+  std::uint64_t decodable_before = 0;  // decodable requests ahead of it
+  bool after_drain = false;            // its feed came after begin_drain
+};
+
+/// One connection's byte stream: valid Route and Distance frames, words
+/// the dispatcher must refuse (wrong k, a digit out of range), undecodable
+/// frames (unknown type, truncated body) and Introspect probes, cut into
+/// random-length slices; a poisoned one ends in a framing error.
+struct ScheduledStream {
+  std::string bytes;
+  std::vector<ScheduledFrame> frames;
+  std::vector<std::size_t> cuts;  // slice ends, increasing
+  std::size_t poison_end = 0;     // end of the bad length prefix, or 0
+};
+
+ScheduledStream make_scheduled_stream(Rng& rng, std::uint32_t d,
+                                      std::size_t k, bool poisoned) {
+  ScheduledStream stream;
+  const std::size_t count = 12 + rng.below(24);
+  std::uint64_t decodable = 0;
+  const auto digits = [&](std::size_t length, bool in_range) {
+    std::vector<std::uint8_t> out(length);
+    for (std::uint8_t& digit : out) {
+      digit = static_cast<std::uint8_t>(rng.below(d));
+    }
+    if (!in_range) {
+      out[rng.below(length)] =
+          static_cast<std::uint8_t>(d + rng.below(256 - d));
+    }
+    return out;
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    ScheduledFrame frame;
+    frame.id = i + 1;
+    frame.decodable_before = decodable;
+    const std::uint64_t pick = rng.below(20);
+    const RequestType pair_type =
+        rng.below(2) == 0 ? RequestType::Route : RequestType::Distance;
+    if (pick < 13) {
+      frame.kind = pick < 9 ? FrameKind::Route : FrameKind::Distance;
+      frame.x = random_word(rng, d, k);
+      frame.y = random_word(rng, d, k);
+      if (frame.kind == FrameKind::Route) {
+        encode_route_request(frame.id, frame.x, frame.y, stream.bytes);
+      } else {
+        encode_distance_request(frame.id, frame.x, frame.y, stream.bytes);
+      }
+    } else if (pick < 16) {
+      frame.kind = FrameKind::BadWord;
+      const bool wrong_k = rng.below(2) == 0;
+      std::size_t length = k;
+      if (wrong_k) {
+        length = rng.below(2) == 0 ? k - 1 : k + 1;
+      }
+      const bool x_bad = rng.below(2) == 0;
+      append_raw_frame(static_cast<std::uint8_t>(pair_type), frame.id,
+                       pair_body(digits(length, wrong_k || !x_bad),
+                                 digits(length, wrong_k || x_bad)),
+                       stream.bytes);
+    } else if (pick < 18) {
+      frame.kind = FrameKind::Undecodable;
+      if (rng.below(2) == 0) {
+        // Type 0, or one past the last known type (5).
+        const std::uint64_t type = rng.below(4) == 0 ? 0 : 6 + rng.below(250);
+        append_raw_frame(static_cast<std::uint8_t>(type), frame.id, "",
+                         stream.bytes);
+      } else {
+        std::string body = pair_body(digits(k, true), digits(k, true));
+        body.resize(body.size() - 1 - rng.below(body.size()));
+        append_raw_frame(static_cast<std::uint8_t>(pair_type), frame.id, body,
+                         stream.bytes);
+      }
+    } else {
+      frame.kind = FrameKind::Introspect;
+      encode_control_request(RequestType::Introspect, frame.id, stream.bytes);
+    }
+    if (frame.kind != FrameKind::Undecodable) {
+      ++decodable;
+    }
+    frame.end = stream.bytes.size();
+    stream.frames.push_back(std::move(frame));
+  }
+  if (poisoned) {
+    const std::uint32_t length = rng.below(2) == 0 ? 0 : kMaxPayload + 1;
+    for (int shift = 0; shift < 32; shift += 8) {
+      stream.bytes.push_back(static_cast<char>((length >> shift) & 0xFF));
+    }
+    stream.poison_end = stream.bytes.size();
+  }
+  // Mostly short slices (a frame here is 13 to 29 bytes), some long ones,
+  // which admit more than a queue's worth at once.
+  for (std::size_t at = 0; at < stream.bytes.size();) {
+    at = std::min(stream.bytes.size(),
+                  at + 1 + (rng.below(4) == 0 ? rng.below(400)
+                                              : rng.below(48)));
+    stream.cuts.push_back(at);
+  }
+  return stream;
+}
+
+// Random interleavings of three connections' streams through a small
+// queue (8) and batch (4), so that overload and partial batches happen,
+// with identity probes between slices, one connection closed with
+// requests in flight, one that may end in a framing error, and
+// begin_drain() at a random step. Each frame that passed framing is
+// answered exactly once on its id (on the closed connection, counted
+// instead of delivered); the dispatcher answers each connection in
+// admission order; answers are right; an Introspect answer counts every
+// decodable request its connection sent before it, so requests decoded
+// ahead of a probe in the same read are admitted before it is answered,
+// and requests decoded ahead of a framing error are admitted too.
+TEST(ServeServer, SeededSchedulesAnswerEveryRequestOnceInOrder) {
+  constexpr std::uint32_t kD = 3;
+  constexpr std::size_t kK = 6;
+  constexpr std::size_t kConnections = 3;
+  BidirectionalRouteEngine engine(kK);
+  std::uint64_t overloaded = 0;
+  std::uint64_t draining = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ServeConfig config;
+    config.d = kD;
+    config.k = kK;
+    config.queue_capacity = 8;
+    config.max_batch = 4;
+    RouteServer server(config);
+    std::vector<std::unique_ptr<Client>> clients;
+    std::vector<ScheduledStream> streams;
+    const std::size_t poisoned =
+        rng.below(2) == 0 ? rng.below(kConnections) : kConnections;
+    for (std::size_t c = 0; c < kConnections; ++c) {
+      clients.push_back(std::make_unique<Client>(server));
+      streams.push_back(make_scheduled_stream(rng, kD, kK, c == poisoned));
+    }
+    const std::size_t closing =
+        (poisoned + 1 + rng.below(kConnections - 1)) % kConnections;
+    const std::size_t close_after =
+        1 + rng.below(streams[closing].cuts.size());
+    std::size_t total_slices = 0;
+    for (const ScheduledStream& stream : streams) {
+      total_slices += stream.cuts.size();
+    }
+    const std::size_t drain_step = rng.below(total_slices + 1);
+
+    std::vector<std::size_t> fed(kConnections, 0);     // slices fed
+    std::vector<std::size_t> framed(kConnections, 0);  // frames passed
+    std::vector<std::size_t> active;
+    for (std::size_t c = 0; c < kConnections; ++c) {
+      active.push_back(c);
+    }
+    bool drained = false;
+    for (std::size_t step = 0; !active.empty(); ++step) {
+      if (step == drain_step) {
+        server.begin_drain();
+        drained = true;
+      }
+      const std::size_t pick = rng.below(active.size());
+      const std::size_t c = active[pick];
+      ScheduledStream& stream = streams[c];
+      const std::size_t from = fed[c] == 0 ? 0 : stream.cuts[fed[c] - 1];
+      const std::size_t to = stream.cuts[fed[c]++];
+      while (framed[c] < stream.frames.size() &&
+             stream.frames[framed[c]].end <= to) {
+        stream.frames[framed[c]++].after_drain = drained;
+      }
+      const bool poison_here =
+          stream.poison_end > from && stream.poison_end <= to;
+      const bool ok = clients[c]->conn->feed(
+          std::string_view(stream.bytes).substr(from, to - from));
+      EXPECT_EQ(ok, !poison_here);
+      bool done = !ok || fed[c] == stream.cuts.size();
+      if (c == closing && fed[c] == close_after) {
+        clients[c]->conn->close();
+        done = true;
+      }
+      if (done) {
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+      if (rng.below(4) == 0) {
+        const IntrospectSnapshot snap = server.introspect();
+        expect_identity(snap.stats, snap.queue_depth, snap.inflight, "probe");
+      }
+    }
+    server.wait_drained();
+    const IntrospectSnapshot final_snap = server.introspect();
+    expect_identity(final_snap.stats, final_snap.queue_depth,
+                    final_snap.inflight, "drained");
+    EXPECT_EQ(final_snap.queue_depth, 0u);
+    EXPECT_EQ(final_snap.inflight, 0u);
+    EXPECT_EQ(final_snap.stats.protocol_errors,
+              poisoned < kConnections ? 1u : 0u);
+
+    std::uint64_t decodable = 0;
+    std::uint64_t undecodable = 0;
+    for (std::size_t c = 0; c < kConnections; ++c) {
+      SCOPED_TRACE("connection " + std::to_string(c));
+      const ScheduledStream& stream = streams[c];
+      const Connection& conn = *clients[c]->conn;
+      for (std::size_t i = 0; i < framed[c]; ++i) {
+        if (stream.frames[i].kind == FrameKind::Undecodable) {
+          ++undecodable;
+        } else {
+          ++decodable;
+        }
+      }
+      // Every frame that passed framing was answered once (sent, or
+      // counted on the closed connection).
+      EXPECT_EQ(conn.response_count(), framed[c]);
+      std::vector<int> answers(framed[c], 0);
+      std::uint64_t last_dispatched = 0;
+      for (const Response& r : clients[c]->responses()) {
+        ASSERT_GE(r.id, 1u);
+        ASSERT_LE(r.id, framed[c]) << "an answer to a frame never framed";
+        ++answers[r.id - 1];
+        const ScheduledFrame& frame = stream.frames[r.id - 1];
+        switch (frame.kind) {
+          case FrameKind::Route:
+          case FrameKind::Distance:
+          case FrameKind::BadWord:
+            if (frame.after_drain) {
+              EXPECT_EQ(r.status, Status::Draining) << "id " << r.id;
+              ++draining;
+              break;
+            }
+            if (r.status == Status::Overloaded) {
+              ++overloaded;
+              break;
+            }
+            // The dispatcher's answers come in admission order.
+            EXPECT_GT(r.id, last_dispatched) << "answered out of order";
+            last_dispatched = r.id;
+            if (frame.kind == FrameKind::BadWord) {
+              EXPECT_EQ(r.status, Status::BadRequest) << "id " << r.id;
+              break;
+            }
+            ASSERT_EQ(r.status, Status::Ok) << "id " << r.id << ": " << r.body;
+            if (frame.kind == FrameKind::Distance) {
+              ASSERT_EQ(r.type, RequestType::Distance);
+              EXPECT_EQ(static_cast<int>(r.distance),
+                        engine.distance(frame.x, frame.y));
+            } else {
+              ASSERT_EQ(r.type, RequestType::Route);
+              EXPECT_EQ(static_cast<int>(r.hops.size()),
+                        engine.distance(frame.x, frame.y));
+              EXPECT_TRUE(replay_lands_on(frame.x, frame.y, r.hops));
+            }
+            break;
+          case FrameKind::Undecodable:
+            EXPECT_EQ(r.status, Status::BadRequest) << "id " << r.id;
+            break;
+          case FrameKind::Introspect: {
+            ASSERT_EQ(r.status, Status::Ok);
+            ASSERT_EQ(r.type, RequestType::Introspect);
+            const std::optional<obs::JsonValue> doc = obs::json_parse(r.body);
+            ASSERT_TRUE(doc.has_value());
+            const obs::JsonValue* stats = doc->find("stats");
+            const obs::JsonValue* conns = doc->find("connections");
+            ASSERT_NE(stats, nullptr);
+            ASSERT_NE(conns, nullptr);
+            const auto field = [&](std::string_view name) {
+              return static_cast<std::uint64_t>(stats->number_at(name));
+            };
+            expect_identity(
+                ServeStats{.requests = field("requests"),
+                           .responses_ok = field("responses_ok"),
+                           .rejected_overload = field("rejected_overload"),
+                           .rejected_bad_request =
+                               field("rejected_bad_request"),
+                           .rejected_undecodable =
+                               field("rejected_undecodable"),
+                           .rejected_draining = field("rejected_draining")},
+                static_cast<std::uint64_t>(doc->number_at("queue_depth")),
+                static_cast<std::uint64_t>(doc->number_at("inflight")),
+                "introspect answer");
+            double counted = -1.0;
+            for (const obs::JsonValue& entry : conns->items) {
+              if (entry.number_at("id") == static_cast<double>(conn.id())) {
+                counted = entry.number_at("requests");
+              }
+            }
+            // Itself and every decodable request ahead of it.
+            EXPECT_EQ(counted, static_cast<double>(frame.decodable_before + 1))
+                << "probe id " << r.id;
+            break;
+          }
+        }
+      }
+      for (std::size_t i = 0; i < framed[c]; ++i) {
+        if (c == closing) {
+          EXPECT_LE(answers[i], 1) << "id " << i + 1;
+        } else {
+          EXPECT_EQ(answers[i], 1) << "id " << i + 1;
+        }
+      }
+    }
+    EXPECT_EQ(final_snap.stats.requests, decodable);
+    EXPECT_EQ(final_snap.stats.rejected_undecodable, undecodable);
+  }
+  // The schedules reach both refusals.
+  EXPECT_GT(overloaded, 0u);
+  EXPECT_GT(draining, 0u);
 }
 
 // --- determinism ------------------------------------------------------------
